@@ -2,21 +2,23 @@
 // against one warm daemon, stepping the connection count.
 //
 // By default the bench self-hosts a serve::Server over a private
-// Unix-domain socket (same event loop + dispatcher the CLI daemon runs) so
-// CI needs no process choreography; --socket points it at an external
-// daemon instead. Each step spawns N closed-loop client threads (send one
-// request, wait for the response, repeat) over a mixed cache-hot workload
-// - mostly plan/bitstream lookups with occasional explore and optimize
-// requests, the shape a partitioner/scheduler front-end produces - and
-// reports JSON on stdout for the perf-regression harness (bench_report).
+// Unix-domain socket (the same run-to-completion event loop the CLI daemon
+// runs) so CI needs no process choreography; --socket points it at an
+// external daemon instead. Each step spawns N closed-loop client threads
+// (send one request, wait for the response, repeat) over a mixed cache-hot
+// workload - mostly plan/bitstream lookups with occasional explore and
+// optimize requests, the shape a partitioner/scheduler front-end produces -
+// and reports JSON on stdout for the perf-regression harness
+// (bench_report).
 //
 // Clients model remote tenants: after each response a client "thinks" for
 // --think-us microseconds (its own scheduling work, or network turnaround)
 // before the next request. That is what makes the scaling claim
 // meaningful: one tenant's closed loop is turnaround-bound and leaves the
 // warm daemon mostly idle, while N tenants' think times overlap and the
-// dispatcher batches their concurrent requests through the shared engine -
-// so sustained rps grows with connections until the engine saturates.
+// event loop answers their concurrent requests in one round through the
+// shared engine - so sustained rps grows with connections until the engine
+// saturates.
 // --think-us 0 degenerates to back-to-back hammering, which on a
 // single-core host saturates the engine from one connection already.
 //
@@ -29,8 +31,9 @@
 //
 // "scaling_speedup" is sustained rps at the largest step over rps at one
 // connection: the single-connection loop pays the full wakeup + turnaround
-// chain per request, while concurrent connections let the dispatcher batch
-// requests per cycle, so the fixed costs amortize even on one core.
+// chain per request, while concurrent connections let the event loop answer
+// several requests per poll round, so the fixed costs amortize even on one
+// core.
 //
 //   perf_serve_scaling [--max-conns 8] [--seconds 1.5] [--requests N]
 //                      [--think-us 200] [--socket PATH] [--max-queue N]

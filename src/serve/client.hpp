@@ -32,8 +32,9 @@ class Client {
 
   bool connected() const noexcept { return fd_ >= 0; }
 
-  /// Write one request line (a '\n' is appended; `line` must not contain
-  /// one). Throws IoError when the peer is gone.
+  /// Write one request line (a '\n' is appended). Several lines joined by
+  /// '\n' go out as one pipelined write. Throws IoError when the peer is
+  /// gone.
   void send_line(std::string_view line);
 
   /// Read one response line (terminator stripped). Returns nullopt on

@@ -9,13 +9,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <csignal>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -33,7 +37,7 @@ std::atomic<Server*> g_signal_server{nullptr};
 
 extern "C" void serve_signal_handler(int) {
   // Async-signal-safe: stop() is one atomic store plus one write() to the
-  // wake pipe.
+  // wake pipe, which exists only to interrupt the loop's poll().
   if (Server* server = g_signal_server.load(std::memory_order_acquire)) {
     server->stop();
   }
@@ -144,14 +148,6 @@ Server::Server(const api::Engine& engine, ServerOptions options)
 Server::~Server() {
   Server* expected = this;
   g_signal_server.compare_exchange_strong(expected, nullptr);
-  if (dispatcher_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      dispatcher_shutdown_ = true;
-    }
-    cv_.notify_all();
-    dispatcher_.join();
-  }
   for (auto& [id, conn] : conns_) close_fd(conn->fd);
   conns_.clear();
   close_fd(unix_fd_);
@@ -225,7 +221,6 @@ void Server::start() {
   // The daemon is the observability story: a live registry makes the
   // "metrics" op scrape meaningful without any extra flag.
   obs::set_metrics_enabled(true);
-  dispatcher_ = std::thread{[this] { dispatch_loop(); }};
   started_ = true;
 }
 
@@ -240,10 +235,6 @@ void Server::install_signal_handlers() {
 
 void Server::stop() {
   draining_.store(true, std::memory_order_release);
-  wake();
-}
-
-void Server::wake() noexcept {
   const char byte = 'w';
   // Full pipe means a wakeup is already pending; any failure is benign.
   [[maybe_unused]] const auto n = ::write(wake_fd_[1], &byte, 1);
@@ -262,8 +253,6 @@ Server::Counters Server::counters() const noexcept {
   return totals;
 }
 
-// ------------------------------------------------------ dispatcher thread --
-
 std::string Server::handle(const Pending& pending) const {
   const auto begin = Clock::now();
   const Json envelope =
@@ -278,69 +267,53 @@ std::string Server::handle(const Pending& pending) const {
   return envelope.dump();
 }
 
-void Server::dispatch_loop() {
-  std::vector<Pending> batch;
-  std::vector<std::string> results;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock{mu_};
-      cv_.wait(lock,
-               [this] { return dispatcher_shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (dispatcher_shutdown_) return;
-        continue;
-      }
-      const std::size_t take =
-          std::min(queue_.size(), options_.dispatch_batch);
-      batch.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.begin() +
-                                           static_cast<std::ptrdiff_t>(take)));
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<std::ptrdiff_t>(take));
-    }
-    queued_.fetch_sub(batch.size(), std::memory_order_relaxed);
+void Server::dispatch_round() {
+  const std::size_t take = std::min(queue_.size(), options_.dispatch_batch);
+  if (take == 0) return;
+  const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(take);
+  std::vector<Pending> batch(std::make_move_iterator(queue_.begin()),
+                             std::make_move_iterator(end));
+  queue_.erase(queue_.begin(), end);
 
-    // Requests whose deadline expired while they sat in the admission
-    // queue are answered here with the stable "deadline" code instead of
-    // occupying pool workers on work nobody is waiting for.
-    results.assign(batch.size(), {});
-    std::vector<std::size_t> live;
-    live.reserve(batch.size());
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (deadline_already_expired(batch[i].line, batch[i].arrival, now)) {
-        stat_expired_.fetch_add(1, std::memory_order_relaxed);
-        PRCOST_COUNT("serve.deadline_expired");
-        results[i] = expired_envelope(batch[i].line);
-      } else {
-        live.push_back(i);
-      }
+  // Requests whose deadline expired while they sat in the admission queue
+  // are answered with the stable "deadline" code instead of occupying pool
+  // workers on work nobody is waiting for; neither are lines whose client
+  // has already gone.
+  std::vector<std::string> results(batch.size());
+  std::vector<std::size_t> live;
+  live.reserve(batch.size());
+  const auto now = Clock::now();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!conns_.contains(batch[i].conn)) continue;
+    if (deadline_already_expired(batch[i].line, batch[i].arrival, now)) {
+      stat_expired_.fetch_add(1, std::memory_order_relaxed);
+      PRCOST_COUNT("serve.deadline_expired");
+      results[i] = expired_envelope(batch[i].line);
+    } else {
+      live.push_back(i);
     }
-
-    // One pool fan-out per batch: with N closed-loop clients the queue
-    // holds ~N requests, so the wakeup/notify cost amortizes N ways.
-    if (live.size() == 1) {
-      results[live[0]] = handle(batch[live[0]]);
-    } else if (!live.empty()) {
-      parallel_for(
-          live.size(),
-          [&](std::size_t i) { results[live[i]] = handle(batch[live[i]]); },
-          options_.workers != 0 ? options_.workers
-                                : engine_->options().workers);
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        done_.push_back(Done{batch[i].conn, batch[i].seq,
-                             std::move(results[i])});
-      }
-    }
-    wake();
   }
-}
 
-// -------------------------------------------------------- event-loop side --
+  // One pool fan-out per round; a lone request runs inline on this thread.
+  if (live.size() == 1) {
+    results[live[0]] = handle(batch[live[0]]);
+  } else if (!live.empty()) {
+    const std::size_t workers =
+        options_.workers != 0 ? options_.workers : engine_->options().workers;
+    parallel_for(
+        live.size(),
+        [&](std::size_t i) { results[live[i]] = handle(batch[live[i]]); },
+        workers);
+  }
+
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto it = conns_.find(batch[i].conn);
+    if (it != conns_.end()) {
+      it->second->ready.emplace(batch[i].seq, std::move(results[i]));
+    }
+  }
+  for (const Pending& pending : batch) service(pending.conn);
+}
 
 void Server::accept_ready(int listen_fd, bool is_unix) {
   for (;;) {
@@ -368,7 +341,7 @@ void Server::submit_line(Conn& conn, std::string line) {
   ++conn.inflight;
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
   PRCOST_COUNT("serve.requests");
-  if (queued_.load(std::memory_order_relaxed) >= options_.max_queue) {
+  if (queue_.size() >= options_.max_queue) {
     // A request that is already past its own deadline is a deadline miss,
     // not an overload artifact: answer the stable "deadline" code so
     // clients can tell the two apart. Everything else is shed without
@@ -385,12 +358,7 @@ void Server::submit_line(Conn& conn, std::string line) {
     conn.ready.emplace(seq, overloaded_envelope());
     return;
   }
-  queued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    queue_.push_back(Pending{conn.id, seq, std::move(line), Clock::now()});
-  }
-  cv_.notify_one();
+  queue_.push_back(Pending{conn.id, seq, std::move(line), Clock::now()});
 }
 
 void Server::read_conn(Conn& conn) {
@@ -474,45 +442,27 @@ void Server::destroy_conn(u64 id, bool disconnect) {
   close_fd(it->second->fd);
   conns_.erase(it);
   if (disconnect) {
-    // In-flight work for this connection still completes; its responses
-    // are discarded when the completion finds no connection to deliver to.
+    // Its queued lines are skipped when their round comes.
     stat_disconnects_.fetch_add(1, std::memory_order_relaxed);
     PRCOST_COUNT("serve.disconnects");
   }
 }
 
-void Server::drain_completions() {
-  std::vector<Done> done;
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    done.swap(done_);
-  }
-  for (Done& d : done) {
-    const auto it = conns_.find(d.conn);
-    if (it == conns_.end()) continue;  // client left mid-request
-    it->second->ready.emplace(d.seq, std::move(d.response));
-  }
-  for (Done& d : done) {
-    const auto it = conns_.find(d.conn);
-    if (it == conns_.end()) continue;
-    pump_ready(*it->second);
-    if (!flush_writes(*it->second)) continue;  // destroyed mid-write
-    // Close-when-done must run here too: a half-closed connection whose
-    // final response lands via this path registers no poll events (no
-    // POLLIN after EOF, no POLLOUT once flushed), so the event loop's own
-    // check would never see it again.
-    const auto again = conns_.find(d.conn);
-    if (again != conns_.end() && again->second->eof &&
-        again->second->drained()) {
-      destroy_conn(d.conn, /*disconnect=*/!again->second->fatal);
-    }
-  }
+void Server::service(u64 id) {
+  const auto it = conns_.find(id);
+  if (it == conns_.end()) return;
+  Conn& conn = *it->second;
+  pump_ready(conn);
+  if (!flush_writes(conn)) return;  // destroyed mid-write
+  // A half-closed connection whose final response lands here registers no
+  // further poll events (no POLLIN after EOF, no POLLOUT once flushed), so
+  // close-when-done must run on every delivery path.
+  if (conn.eof && conn.drained()) destroy_conn(id, /*disconnect=*/!conn.fatal);
 }
 
 void Server::update_gauges() {
   PRCOST_GAUGE_SET("serve.connections", conns_.size());
-  PRCOST_GAUGE_SET("serve.queue_depth",
-                   queued_.load(std::memory_order_relaxed));
+  PRCOST_GAUGE_SET("serve.queue_depth", queue_.size());
   std::size_t inflight = 0;
   for (const auto& [id, conn] : conns_) inflight += conn->inflight;
   PRCOST_GAUGE_SET("serve.inflight", inflight);
@@ -537,7 +487,7 @@ void Server::run() {
       drain_deadline = Clock::now() + std::chrono::milliseconds{
                                           options_.drain_grace_ms};
       log_info("serve: draining (", conns_.size(), " connection(s), ",
-               queued_.load(std::memory_order_relaxed), " queued)");
+               queue_.size(), " queued)");
     }
     if (draining) {
       std::vector<u64> finished;
@@ -577,9 +527,10 @@ void Server::run() {
       fd_conn.push_back(id);
     }
 
-    // Block indefinitely when idle; tick while draining so the grace
+    // Only look for new events while lines are still queued; otherwise
+    // block indefinitely when idle, and tick while draining so the grace
     // deadline and close conditions re-check even if no fd fires.
-    const int timeout_ms = draining ? 50 : -1;
+    const int timeout_ms = !queue_.empty() ? 0 : draining ? 50 : -1;
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) {
       log_error("serve: poll failed: ", std::strerror(errno));
@@ -591,7 +542,6 @@ void Server::run() {
       while (::read(wake_fd_[0], sink, sizeof sink) > 0) {
       }
     }
-    drain_completions();
 
     for (std::size_t i = 1; i < fds.size(); ++i) {
       const short revents = fds[i].revents;
@@ -605,33 +555,25 @@ void Server::run() {
       const u64 id = fd_conn[i];
       auto it = conns_.find(id);
       if (it == conns_.end()) continue;  // destroyed earlier this round
-      Conn& conn = *it->second;
       if (revents & (POLLERR | POLLNVAL)) {
         destroy_conn(id, /*disconnect=*/true);
         continue;
       }
-      if (revents & (POLLIN | POLLHUP)) {
-        if (!conn.eof) read_conn(conn);
-        if (conns_.find(id) == conns_.end()) continue;
+      if ((revents & (POLLIN | POLLHUP)) && !it->second->eof) {
+        read_conn(*it->second);
       }
-      pump_ready(conn);
-      if (!flush_writes(conn)) continue;
-      if (conn.eof && conn.drained()) {
-        destroy_conn(id, /*disconnect=*/!conn.fatal);
-      }
+      service(id);
     }
+    // Run to completion: answer this round's lines on this thread (and
+    // the pool), then deliver and flush before polling again.
+    dispatch_round();
     update_gauges();
   }
 
-  // Drain step 2: the queue is empty of live work (every connection is
-  // gone); shut the dispatcher down and hand control back so the caller
-  // can flush snapshots and exit cleanly.
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    dispatcher_shutdown_ = true;
-  }
-  cv_.notify_all();
-  dispatcher_.join();
+  // Drain step 2: every connection is gone, so whatever is still queued
+  // has nobody to answer; hand control back so the caller can flush
+  // snapshots and exit cleanly.
+  queue_.clear();
   update_gauges();
   log_info("serve: drained, ",
            stat_responses_.load(std::memory_order_relaxed),

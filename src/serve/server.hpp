@@ -2,8 +2,11 @@
 //
 // One Server owns a poll()-based event loop (Unix-domain and/or TCP
 // listeners, newline-delimited JSON with exactly the JSONL batch wire
-// contract) and a dispatcher thread that drains an admission queue in
-// batches through the process-wide parallel_for pool. All expensive state
+// contract) that runs to completion: each round it frames the lines it
+// reads into an admission queue only the loop thread touches, answers up
+// to dispatch_batch of them itself (fanned out through the process-wide
+// parallel_for pool, a lone line inline), delivers the responses to their
+// connections and flushes, then polls again. All expensive state
 // - device catalog, interned fabric identities, plan cache, bitstream
 // cache, worker pool, obs registry, warm-start snapshots - is paid once
 // per process and amortized across every connection.
@@ -16,9 +19,10 @@
 //   - Backpressure: a connection with too many requests in flight or too
 //     large an unflushed response buffer stops being read until it drains;
 //     other connections are unaffected.
-//   - Deadlines: a request's "deadline_ms" is anchored at arrival (queue
-//     wait counts) and honored at engine phase boundaries -> stable
-//     "deadline" error code.
+//   - Deadlines: a request's "deadline_ms" is anchored when the loop reads
+//     its line (queue wait counts; bytes still in the kernel buffer do not)
+//     and honored at engine phase boundaries -> stable "deadline" error
+//     code.
 //   - Isolation: a malformed JSONL line answers a per-request "parse"
 //     error and the connection stays up; a client disconnecting
 //     mid-request only discards its own responses.
@@ -30,21 +34,16 @@
 //     force-closed.
 //
 // Responses preserve per-connection input order (one response line per
-// request line, like batch) even though execution is parallel and
-// out-of-order across connections.
+// request line, like batch) even though a round's lines run in parallel.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "api/batch.hpp"
 #include "api/engine.hpp"
@@ -73,8 +72,8 @@ struct ServerOptions {
   /// A single line larger than this is a protocol error: the connection
   /// gets one "parse" error envelope and is closed.
   std::size_t max_line_bytes = 8u << 20;
-  /// Requests taken per dispatcher batch (0 = auto). Batches amortize one
-  /// wakeup + one pool fan-out over many requests.
+  /// Queued lines the event loop answers per round (0 = auto). A round
+  /// amortizes one pool fan-out over many requests.
   std::size_t dispatch_batch = 0;
   /// Workers for the dispatch fan-out (0 = engine/pool default).
   std::size_t workers = 0;
@@ -103,13 +102,13 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind listeners and start the dispatcher thread. Throws IoError when a
-  /// socket cannot be bound. After start() returns the endpoints accept
-  /// connections (run() must be entered to answer them).
+  /// Bind listeners. Throws IoError when a socket cannot be bound. After
+  /// start() returns the endpoints accept connections (run() must be
+  /// entered to answer them).
   void start();
 
   /// Event loop: blocks until a drain (stop()/signal) completes. Finishes
-  /// in-flight work and flushes responses before returning.
+  /// queued work and flushes responses before returning.
   void run();
 
   /// Request a graceful drain (thread-safe, idempotent, callable from any
@@ -136,23 +135,17 @@ class Server {
     std::string line;
     std::chrono::steady_clock::time_point arrival;
   };
-  struct Done {
-    u64 conn = 0;
-    u64 seq = 0;
-    std::string response;
-  };
 
-  void dispatch_loop();
   std::string handle(const Pending& pending) const;
+  void dispatch_round();  ///< answer up to dispatch_batch queued lines
 
   void accept_ready(int listen_fd, bool is_unix);
   void read_conn(Conn& conn);
   void submit_line(Conn& conn, std::string line);
   void pump_ready(Conn& conn);
   bool flush_writes(Conn& conn);  ///< false when the conn died mid-write
+  void service(u64 id);           ///< pump + flush, then close if done
   void destroy_conn(u64 id, bool disconnect);
-  void drain_completions();
-  void wake() noexcept;
   void update_gauges();
 
   const api::Engine* engine_;
@@ -161,19 +154,13 @@ class Server {
   int unix_fd_ = -1;
   int tcp_fd_ = -1;
   int actual_tcp_port_ = -1;
-  int wake_fd_[2] = {-1, -1};
+  int wake_fd_[2] = {-1, -1};  ///< interrupts poll() for stop()/signals
 
   std::unordered_map<u64, std::unique_ptr<Conn>> conns_;
   u64 next_conn_id_ = 1;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  std::vector<Done> done_;
-  std::thread dispatcher_;
-  std::atomic<std::size_t> queued_{0};
+  std::deque<Pending> queue_;  ///< admission queue (event-loop thread only)
   std::atomic<bool> draining_{false};
-  std::atomic<bool> dispatcher_shutdown_{false};
   bool started_ = false;
 
   std::atomic<u64> stat_accepted_{0};

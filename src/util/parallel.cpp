@@ -1,5 +1,7 @@
 #include "util/parallel.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -93,8 +95,12 @@ class Pool {
   }
 
  private:
+  // Sized for the widest call any thread can make: the affinity mask is
+  // read per call and may be narrower (or widened later) than when the
+  // pool starts.
   Pool() {
-    const std::size_t helpers = parallel_worker_count() - 1;
+    const unsigned hw = std::thread::hardware_concurrency();
+    const std::size_t helpers = hw > 1 ? hw - 1 : 0;
     threads_.reserve(helpers);
     for (std::size_t i = 0; i < helpers; ++i) {
       threads_.emplace_back([this] { worker(); });
@@ -139,6 +145,14 @@ class Pool {
 }  // namespace
 
 std::size_t parallel_worker_count() {
+  // Read per call, not cached: a thread may be pinned after the pool
+  // exists, and helpers sharing the caller's one CPU only add hand-offs.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int allowed = CPU_COUNT(&set);
+    if (allowed > 0) return static_cast<std::size_t>(allowed);
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -153,7 +167,8 @@ void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   std::size_t workers) {
   if (count == 0) return;
-  if (workers == 0) workers = parallel_worker_count();
+  // Nested calls run serially anyway: skip the affinity-mask syscall.
+  if (workers == 0 && !t_in_region) workers = parallel_worker_count();
   workers = std::min(workers, count);
   if (workers <= 1 || t_in_region) {
     // Serial path; also taken for nested calls so a body that fans out

@@ -2,7 +2,8 @@
 //
 // parallel_for runs on a lazily-started persistent worker pool (one pool
 // per process, hardware_concurrency - 1 threads; the calling thread always
-// participates) instead of spawning fresh threads per call. Chunks are
+// participates; a call uses at most as many workers as CPUs the calling
+// thread may run on) instead of spawning fresh threads per call. Chunks are
 // claimed dynamically off a shared atomic counter, so the highly skewed
 // item costs of DSE sweeps (early-infeasible partitions vs. full
 // simulations) load-balance across workers. Bodies must be free of shared
@@ -14,7 +15,9 @@
 
 namespace prcost {
 
-/// Number of workers parallel_for will use (>= 1; hardware concurrency).
+/// Number of workers parallel_for will use (>= 1): the CPUs in the calling
+/// thread's affinity mask, read on every call; hardware concurrency when
+/// the mask cannot be read.
 std::size_t parallel_worker_count();
 
 /// Invoke body(i) for i in [0, count), distributing dynamically sized

@@ -1,8 +1,11 @@
 // Persistent-pool behavior behind parallel_for: coverage, exception
-// propagation, pool reuse after a throw, nested calls, and concurrent
-// submitters. These run real threads, so they double as the targets for a
-// -DPRCOST_TSAN=ON build.
+// propagation, pool reuse after a throw, nested calls, concurrent
+// submitters, and a worker count that follows the CPU affinity mask. These
+// run real threads, so they double as the targets for a -DPRCOST_TSAN=ON
+// build.
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -28,6 +31,44 @@ TEST(ParallelPool, EveryIndexExecutesExactlyOnce) {
 
 TEST(ParallelPool, WorkerCountIsPositive) {
   EXPECT_GE(parallel_worker_count(), 1u);
+}
+
+TEST(ParallelPool, WorkerCountFollowsAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof original, &original), 0);
+  if (CPU_COUNT(&original) < 2) {
+    GTEST_SKIP() << "process may run on one CPU only";
+  }
+  const std::size_t unpinned = parallel_worker_count();
+  EXPECT_EQ(unpinned, static_cast<std::size_t>(CPU_COUNT(&original)));
+
+  // Pin to the first allowed CPU: the pool (possibly already started with
+  // more helpers) must not fan out, yet still cover every index.
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  EXPECT_EQ(parallel_worker_count(), 1u);
+  constexpr std::size_t kCount = 1000;
+  std::vector<std::atomic<int>> executed(kCount);
+  std::atomic<bool> all_in_region{true};
+  parallel_for(kCount, [&](std::size_t i) {
+    executed[i].fetch_add(1, std::memory_order_relaxed);
+    if (!in_parallel_region()) all_in_region.store(false);
+  });
+  ASSERT_EQ(::sched_setaffinity(0, sizeof original, &original), 0);
+
+  for (std::size_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(executed[i].load(), 1) << "index " << i;
+  }
+  EXPECT_TRUE(all_in_region.load());
+  EXPECT_EQ(parallel_worker_count(), unpinned);
 }
 
 TEST(ParallelPool, ExceptionPropagatesAndPoolSurvives) {

@@ -1,10 +1,11 @@
-// serve::Server integration tests: a real daemon (event loop + dispatcher
-// over real sockets) driven through serve::Client, in process. Covers the
-// production behaviors the daemon claims: wire-contract parity with batch,
-// per-connection response ordering under pipelining, malformed-line
-// isolation, admission-control shedding, arrival-anchored deadlines,
-// disconnect isolation, graceful drain, TCP + unix listeners, and the
-// "metrics" scrape.
+// serve::Server integration tests: a real daemon (one run-to-completion
+// event loop plus the parallel_for pool, over real sockets) driven through
+// serve::Client, in process. Covers the production behaviors the daemon
+// claims: wire-contract parity with batch, per-connection response
+// ordering under pipelining (also across dispatch rounds), malformed-line
+// isolation, admission-control shedding, read-anchored deadlines, stable
+// error codes for bad requests, disconnect isolation, graceful drain,
+// TCP + unix listeners, and the "metrics" scrape.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -147,8 +148,8 @@ TEST(Serve, ExpiredDeadlineAnswersDeadlineCode) {
   ServeHarness harness{unix_options()};
   serve::Client client = harness.connect();
 
-  // deadline_ms:0 is expired by the time the dispatcher picks it up
-  // (arrival-anchored), so the admission check fires before any work.
+  // deadline_ms:0 is expired by the time the loop dispatches it (anchored
+  // when its line was read), so the admission check fires before any work.
   EXPECT_EQ(error_code_of(client.request(
                 R"({"op":"plan","device":"xc5vlx110t","prm":"fir","deadline_ms":0})")),
             "deadline");
@@ -186,6 +187,90 @@ TEST(Serve, ExpiredDeadlineUnderOverloadIsDeadlineNotOverloaded) {
   EXPECT_EQ(error_code_of(client.request(R"({"op":"ping"})")), "overloaded");
   EXPECT_EQ(harness.server().counters().expired, 1u);
   EXPECT_EQ(harness.server().counters().shed, 2u);
+}
+
+TEST(Serve, NegativeDeadlineAndUnknownOpAnswerStableCodes) {
+  ServeHarness harness{unix_options()};
+  serve::Client client = harness.connect();
+
+  EXPECT_EQ(error_code_of(client.request(R"({"op":"ping","deadline_ms":-5})")),
+            "usage");
+  EXPECT_EQ(error_code_of(client.request(R"({"op":"frobnicate","id":3})")),
+            "not_found");
+  // Both are per-request answers: the connection keeps serving.
+  const Json pong = Json::parse(client.request(R"({"op":"ping"})"));
+  EXPECT_TRUE(pong.find("result")->find("pong")->as_bool());
+  EXPECT_EQ(harness.server().counters().expired, 0u);
+}
+
+TEST(Serve, BurstsLargerThanDispatchBatchKeepPerConnectionOrder) {
+  serve::ServerOptions options = unix_options();
+  options.dispatch_batch = 4;  // every burst spans many dispatch rounds
+  ServeHarness harness{options};
+  serve::Client a = harness.connect();
+  serve::Client b = harness.connect();
+
+  constexpr int kBurst = 30;
+  const auto ping = [](int id) {
+    return R"({"op":"ping","id":)" + std::to_string(id) + "}";
+  };
+  for (int i = 0; i < kBurst; ++i) {
+    a.send_line(ping(i));
+    b.send_line(ping(1000 + i));
+  }
+  for (int i = 0; i < kBurst; ++i) {
+    const auto from_a = a.recv_line();
+    const auto from_b = b.recv_line();
+    ASSERT_TRUE(from_a.has_value()) << "response " << i;
+    ASSERT_TRUE(from_b.has_value()) << "response " << i;
+    EXPECT_EQ(Json::parse(*from_a).find("id")->as_double(),
+              static_cast<double>(i));
+    EXPECT_EQ(Json::parse(*from_b).find("id")->as_double(),
+              static_cast<double>(1000 + i));
+  }
+  const serve::Server::Counters totals = harness.server().counters();
+  EXPECT_EQ(totals.requests, 2u * kBurst);
+  EXPECT_EQ(totals.requests, totals.responses);
+  EXPECT_EQ(totals.shed, 0u);
+}
+
+TEST(Serve, OneWritePastMaxQueueShedsInOrderAndConnectionStaysUp) {
+  serve::ServerOptions options = unix_options();
+  options.max_queue = 3;
+  ServeHarness harness{options};
+  serve::Client client = harness.connect();
+
+  // Twenty pings in a single write: the loop frames them all in one
+  // round, so everything past the third queued line is shed.
+  constexpr int kPings = 20;
+  std::string burst;
+  for (int i = 0; i < kPings; ++i) {
+    if (i != 0) burst += '\n';
+    burst += R"({"op":"ping","id":)" + std::to_string(i) + "}";
+  }
+  client.send_line(burst);
+
+  int shed = 0;
+  int answered = 0;
+  for (int i = 0; i < kPings; ++i) {
+    const auto response = client.recv_line();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    const std::string code = error_code_of(*response);
+    if (code == "overloaded") {
+      ++shed;
+      continue;
+    }
+    EXPECT_EQ(code, "");
+    // The i-th response answers the i-th request.
+    EXPECT_EQ(Json::parse(*response).find("id")->as_double(),
+              static_cast<double>(i));
+    ++answered;
+  }
+  EXPECT_GE(shed, 1);
+  EXPECT_EQ(shed + answered, kPings);
+  EXPECT_EQ(harness.server().counters().shed, static_cast<u64>(shed));
+  const Json pong = Json::parse(client.request(R"({"op":"ping"})"));
+  EXPECT_TRUE(pong.find("result")->find("pong")->as_bool());
 }
 
 TEST(Serve, ClientDisconnectMidRequestLeavesServerServing) {
