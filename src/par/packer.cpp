@@ -12,9 +12,7 @@ PackResult pack_slices(const Netlist& nl, const PackOptions& options) {
     throw ContractError{"pack_slices: efficiency out of [0,1]"};
   }
   PackResult result;
-  const NetlistStats stats = nl.stats();
-  result.luts = stats.luts;
-  result.ffs = stats.ffs;
+  result.stats = nl.stats();
 
   // Direct pairs: FF driven by a single-sink LUT.
   for (const CellId id : nl.live_cells()) {
@@ -30,14 +28,15 @@ PackResult pack_slices(const Netlist& nl, const PackOptions& options) {
     }
   }
 
-  const u64 lone_luts = result.luts - result.direct_pairs;
-  const u64 lone_ffs = result.ffs - result.direct_pairs;
+  const u64 luts = result.stats.luts;
+  const u64 ffs = result.stats.ffs;
+  const u64 lone_luts = luts - result.direct_pairs;
+  const u64 lone_ffs = ffs - result.direct_pairs;
   const u64 packable = lone_luts < lone_ffs ? lone_luts : lone_ffs;
   result.cross_packed = static_cast<u64>(
       std::floor(static_cast<double>(packable) *
                  options.cross_pack_efficiency));
-  result.lut_ff_pairs =
-      result.luts + result.ffs - result.direct_pairs - result.cross_packed;
+  result.lut_ff_pairs = luts + ffs - result.direct_pairs - result.cross_packed;
   return result;
 }
 

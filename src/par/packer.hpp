@@ -27,8 +27,9 @@ struct PackResult {
   u64 direct_pairs = 0;   ///< FF packed with its driving LUT
   u64 cross_packed = 0;   ///< lone FF co-located with an unrelated lone LUT
   u64 lut_ff_pairs = 0;   ///< resulting slice pairs (LUT_FF_req post-MAP)
-  u64 luts = 0;
-  u64 ffs = 0;
+  /// Live-cell census of the packed netlist; placement and the post-PAR
+  /// report read it instead of counting the cells again.
+  NetlistStats stats;
 };
 
 /// Pack the live LUT/FF population of `nl`.

@@ -29,14 +29,15 @@ ParResult place_and_route(Netlist mapped, const PrrPlan& plan,
 
   PlaceOptions place_options = options.place;
   place_options.seed = options.seed;
-  result.placement = place_into_prr(mapped, plan, fabric, place_options);
+  result.placement =
+      place_into_prr(mapped, plan, fabric, result.packing, place_options);
   if (!result.placement.feasible) {
     result.failure_reason = result.placement.failure_reason;
     return result;
   }
 
   // Post-PAR report: packed pair count replaces the synthesis-time pairing.
-  const NetlistStats stats = mapped.stats();
+  const NetlistStats& stats = result.packing.stats;
   result.post_par.module_name = mapped.name();
   result.post_par.family = fabric.family();
   result.post_par.slice_luts = stats.luts;

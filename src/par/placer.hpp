@@ -7,11 +7,13 @@
 // primitive reports failure - the mechanism behind the paper's note that
 // "MIPS failed place and route on the Virtex-6" when the PRR was shrunk to
 // the post-PAR requirements.
+//
+// The result reports wirelength, utilization and a timing estimate; the
+// per-cell sites stay internal to the placer, which keeps them in dense
+// cell- and site-indexed tables.
 #pragma once
 
-#include <optional>
-#include <unordered_map>
-#include <vector>
+#include <string>
 
 #include "cost/prr_search.hpp"
 #include "device/family_traits.hpp"
@@ -19,15 +21,6 @@
 #include "par/packer.hpp"
 
 namespace prcost {
-
-/// A physical site inside the PRR, in abstract grid coordinates: x is the
-/// column index within the PRR window, y the resource index within the
-/// column (0 = bottom).
-struct Site {
-  u32 x = 0;
-  u32 y = 0;
-  friend bool operator==(const Site&, const Site&) = default;
-};
 
 /// Placement options.
 struct PlaceOptions {
@@ -54,13 +47,14 @@ struct PlaceResult {
   /// Estimated critical-path delay (ns): logic depth * per-level delay +
   /// average net span * per-unit routing delay.
   double critical_path_ns = 0.0;
-  std::unordered_map<u32, Site> sites;  ///< cell index -> site
 };
 
 /// Place mapped netlist `nl` into the PRR described by `plan` (window
-/// columns and height define the site grid) on `family`.
+/// columns and height define the site grid) on `fabric`. `packed` is
+/// pack_slices() of the same `nl`: its pair count and cell census are the
+/// demand checked against the PRR's sites.
 PlaceResult place_into_prr(const Netlist& nl, const PrrPlan& plan,
-                           const Fabric& fabric,
+                           const Fabric& fabric, const PackResult& packed,
                            const PlaceOptions& options = {});
 
 }  // namespace prcost

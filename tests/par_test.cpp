@@ -81,8 +81,8 @@ TEST(Placer, SdramFitsItsPaperPrr) {
   ASSERT_TRUE(plan.has_value());
   PlaceOptions options;
   options.anneal_moves = 2000;  // keep the test fast
-  const PlaceResult placed =
-      place_into_prr(synth.netlist, *plan, lx110t(), options);
+  const PlaceResult placed = place_into_prr(
+      synth.netlist, *plan, lx110t(), pack_slices(synth.netlist), options);
   EXPECT_TRUE(placed.feasible) << placed.failure_reason;
   EXPECT_GT(placed.placed_cells, 0u);
   EXPECT_LE(placed.pairs_needed, placed.pair_sites);
@@ -95,8 +95,8 @@ TEST(Placer, AnnealNeverWorsensWirelength) {
   ASSERT_TRUE(plan.has_value());
   PlaceOptions options;
   options.anneal_moves = 5000;
-  const PlaceResult placed =
-      place_into_prr(synth.netlist, *plan, lx110t(), options);
+  const PlaceResult placed = place_into_prr(
+      synth.netlist, *plan, lx110t(), pack_slices(synth.netlist), options);
   ASSERT_TRUE(placed.feasible);
   EXPECT_LE(placed.hpwl_final, placed.hpwl_initial);
   EXPECT_GT(placed.critical_path_ns, 0.0);
@@ -110,8 +110,11 @@ TEST(Placer, DeterministicForSeed) {
   PlaceOptions options;
   options.seed = 99;
   options.anneal_moves = 2000;
-  const PlaceResult a = place_into_prr(synth.netlist, *plan, lx110t(), options);
-  const PlaceResult b = place_into_prr(synth.netlist, *plan, lx110t(), options);
+  const PackResult packed = pack_slices(synth.netlist);
+  const PlaceResult a =
+      place_into_prr(synth.netlist, *plan, lx110t(), packed, options);
+  const PlaceResult b =
+      place_into_prr(synth.netlist, *plan, lx110t(), packed, options);
   EXPECT_EQ(a.hpwl_final, b.hpwl_final);
 }
 
@@ -126,9 +129,48 @@ TEST(Placer, TooSmallPrrFailsWithReason) {
   tiny.window = *window;
   tiny.bitstream =
       estimate_bitstream(tiny.organization, lx110t().traits());
-  const PlaceResult placed = place_into_prr(synth.netlist, tiny, lx110t(), {});
+  const PlaceResult placed =
+      place_into_prr(synth.netlist, tiny, lx110t(), pack_slices(synth.netlist));
   EXPECT_FALSE(placed.feasible);
   EXPECT_FALSE(placed.failure_reason.empty());
+}
+
+TEST(Placer, GoldenWirelengthAndTiming) {
+  // Pinned with default PlaceOptions (auto anneal_moves). Any change to the
+  // annealer's RNG draw order, move-cost arithmetic or cooling schedule
+  // moves these numbers.
+  struct Golden {
+    const char* design;
+    Netlist (*make)();
+    const char* device;
+    Family family;
+    u64 hpwl_initial;
+    u64 hpwl_final;
+    double critical_path_ns;
+  };
+  const Golden cases[] = {
+      {"sdram", [] { return make_sdram_ctrl(); }, "xc5vlx110t",
+       Family::kVirtex5, 18992, 8273, 7.5281363636363636},
+      {"uart", [] { return make_uart(); }, "xc5vlx110t", Family::kVirtex5,
+       2398, 879, 6.083853211009175},
+      {"mips5", [] { return make_mips5(); }, "xc5vlx110t", Family::kVirtex5,
+       663281, 379251, 22.660342455729548},
+      {"fir", [] { return make_fir(); }, "xc7k325t", Family::kSeries7,
+       441461, 267750, 18.048648648648648},
+  };
+  for (const Golden& g : cases) {
+    const Fabric& fabric = DeviceDb::instance().get(g.device).fabric;
+    auto synth = synthesize(g.make(), SynthOptions{g.family});
+    const auto plan =
+        find_prr(PrmRequirements::from_report(synth.report), fabric);
+    ASSERT_TRUE(plan.has_value()) << g.design;
+    const PlaceResult placed = place_into_prr(
+        synth.netlist, *plan, fabric, pack_slices(synth.netlist));
+    ASSERT_TRUE(placed.feasible) << g.design << ": " << placed.failure_reason;
+    EXPECT_EQ(placed.hpwl_initial, g.hpwl_initial) << g.design;
+    EXPECT_EQ(placed.hpwl_final, g.hpwl_final) << g.design;
+    EXPECT_EQ(placed.critical_path_ns, g.critical_path_ns) << g.design;
+  }
 }
 
 // ------------------------------------------------------------------- par ---
@@ -175,6 +217,23 @@ TEST(Par, CrossPackingDeliversMeaningfulSavings) {
                 static_cast<double>(synth.report.lut_ff_pairs);
   EXPECT_GT(saving, 0.05);
   EXPECT_LT(saving, 0.6);
+}
+
+TEST(Par, PlacementSeesTheCallersPacking) {
+  // Placement checks the pair demand of the caller's packing, not a
+  // re-pack with default options.
+  auto synth = synthesize(make_mips5(), SynthOptions{Family::kVirtex5});
+  const auto plan =
+      find_prr(PrmRequirements::from_report(synth.report), lx110t());
+  ASSERT_TRUE(plan.has_value());
+  ParOptions options;
+  options.pack.cross_pack_efficiency = 0.0;
+  options.place.skip_anneal = true;
+  const ParResult par =
+      place_and_route(std::move(synth.netlist), *plan, lx110t(), options);
+  ASSERT_TRUE(par.routed) << par.failure_reason;
+  EXPECT_EQ(par.packing.cross_packed, 0u);
+  EXPECT_EQ(par.placement.pairs_needed, par.packing.lut_ff_pairs);
 }
 
 TEST(Par, MipsFailsOnPostParSizedVirtex6Prr) {
