@@ -1,259 +1,47 @@
 #include "multitask/preemptive.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "obs/obs.hpp"
-#include "util/error.hpp"
 
 namespace prcost {
-
-std::string_view preempt_mode_name(PreemptMode mode) {
-  switch (mode) {
-    case PreemptMode::kNoPreemption: return "no-preemption";
-    case PreemptMode::kRestart: return "restart";
-    case PreemptMode::kSaveRestore: return "save-restore";
-  }
-  return "?";
-}
-
-namespace {
-
-/// A task instance in flight (original index + mutable progress state).
-struct Job {
-  std::size_t task = 0;
-  double remaining_s = 0;
-  bool needs_restore = false;  ///< resumed from a saved context
-  u32 priority = 0;
-};
-
-struct PrrState {
-  std::optional<u32> loaded;
-  std::optional<Job> running;
-  double exec_end = 0;
-};
-
-}  // namespace
 
 PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
                                      std::vector<HwTask> tasks,
                                      const PreemptiveConfig& config) {
   PRCOST_TRACE_SPAN("preemptive_sim");
-  if (config.prr_count == 0) {
-    throw ContractError{"simulate_preemptive: zero PRRs"};
-  }
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate_preemptive: unknown PRM"};
-    }
-  }
-  auto controller =
-      config.controller
-          ? config.controller
-          : std::make_shared<DmaIcapController>(default_icap(Family::kVirtex5));
-
   sort_by_arrival(tasks);
+  CoreConfig core;
+  core.slot_count = config.prr_count;
+  core.policy = SchedPolicy::kPriority;
+  core.placement = Placement::kSlotMajor;
+  core.preempt = config.mode;
+  core.context_save_s = config.context_save_s;
+  core.context_restore_s = config.context_restore_s;
+  core.controller = config.controller;
+  core.cold_media = core.warm_media = config.media;
+  core.faults = config.faults;
+  core.retry = config.retry;
+  core.drop_penalty_s = config.drop_penalty_s;
+  PreemptiveResult result = run_event_core(prms, tasks, core);
 
-  PreemptiveResult result;
-  result.tasks.resize(tasks.size());
-  std::vector<PrrState> prrs(config.prr_count);
-  std::vector<Job> ready;
-  std::size_t next_arrival = 0;
-  std::size_t completed = 0;
-  double now = 0;
-  double icap_free_at = 0;
-
-  const auto pop_best_ready = [&]() -> Job {
-    auto best = ready.begin();
-    for (auto it = ready.begin(); it != ready.end(); ++it) {
-      if (it->priority > best->priority) best = it;
-    }
-    const Job job = *best;
-    ready.erase(best);
-    return job;
-  };
-
-  const auto icap_time = [&](double duration) {
-    const double start = std::max(now, icap_free_at);
-    icap_free_at = start + duration;
-    return icap_free_at;
-  };
-
-  const auto dispatch = [&](std::size_t prr_index, Job job) {
-    PrrState& prr = prrs[prr_index];
-    double start = now;
-    if (prr.loaded != tasks[job.task].prm) {
-      if (config.faults != nullptr) {
-        // Fault mode: verified transfer with retry; a permanent failure
-        // drops the job here - the PRR stays idle and undefined.
-        const TransferOutcome xfer = verified_transfer(
-            *controller, prms[tasks[job.task].prm].bitstream_bytes,
-            config.media, config.faults, config.retry);
-        const double end = icap_time(xfer.total_s);
-        TaskOutcome& outcome = result.tasks[job.task];
-        outcome.task_index = narrow<u32>(job.task);
-        outcome.prr = narrow<u32>(prr_index);
-        outcome.reconfig_attempts += xfer.attempts;
-        result.retry_attempts += xfer.attempts - 1;
-        result.total_retry_backoff_s += xfer.backoff_s;
-        result.total_fault_wasted_s += xfer.wasted_s;
-        if (!xfer.success) {
-          ++result.failed_reconfigs;
-          prr.loaded.reset();
-          outcome.dropped = true;
-          outcome.finish_s = end;
-          outcome.wait_s = end - tasks[job.task].arrival_s;
-          result.makespan_s = std::max(result.makespan_s, end);
-          ++result.dropped_tasks;
-          result.total_penalty_s += config.drop_penalty_s;
-          ++completed;
-          return;
-        }
-        start = end;
-        prr.loaded = tasks[job.task].prm;
-        result.total_reconfig_s += xfer.total_s;
-        ++result.reconfig_count;
-      } else {
-        const double reconfig_s =
-            controller
-                ->estimate(prms[tasks[job.task].prm].bitstream_bytes,
-                           config.media)
-                .total_s;
-        start = icap_time(reconfig_s);
-        prr.loaded = tasks[job.task].prm;
-        result.total_reconfig_s += reconfig_s;
-        ++result.reconfig_count;
-      }
-    }
-    if (job.needs_restore) {
-      start = std::max(start, icap_time(config.context_restore_s));
-      result.total_save_restore_s += config.context_restore_s;
-      job.needs_restore = false;
-    }
-    prr.exec_end = start + job.remaining_s;
-    prr.running = job;
-    result.tasks[job.task].prr = narrow<u32>(prr_index);
-    if (result.tasks[job.task].start_s == 0) {
-      result.tasks[job.task].start_s = start;
-    }
-  };
-
-  while (completed < tasks.size()) {
-    while (next_arrival < tasks.size() &&
-           tasks[next_arrival].arrival_s <= now) {
-      ready.push_back(Job{next_arrival, tasks[next_arrival].exec_s, false,
-                          tasks[next_arrival].priority});
-      ++next_arrival;
-    }
-
-    // Retire finished jobs.
-    for (PrrState& prr : prrs) {
-      if (prr.running && prr.exec_end <= now) {
-        const Job& job = *prr.running;
-        TaskOutcome& outcome = result.tasks[job.task];
-        outcome.task_index = narrow<u32>(job.task);
-        outcome.finish_s = prr.exec_end;
-        outcome.wait_s =
-            outcome.finish_s - tasks[job.task].arrival_s - tasks[job.task].exec_s;
-        result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
-        prr.running.reset();
-        ++completed;
-      }
-    }
-
-    // Dispatch onto idle PRRs.
-    bool dispatched = true;
-    while (dispatched && !ready.empty()) {
-      dispatched = false;
-      for (std::size_t p = 0; p < prrs.size() && !ready.empty(); ++p) {
-        if (!prrs[p].running) {
-          dispatch(p, pop_best_ready());
-          dispatched = true;
-        }
-      }
-    }
-
-    // Preemption: the most urgent ready job may evict the lowest-priority
-    // running job.
-    if (config.mode != PreemptMode::kNoPreemption && !ready.empty()) {
-      bool preempted = true;
-      while (preempted && !ready.empty()) {
-        preempted = false;
-        auto best_it = ready.begin();
-        for (auto it = ready.begin(); it != ready.end(); ++it) {
-          if (it->priority > best_it->priority) best_it = it;
-        }
-        std::size_t victim_prr = prrs.size();
-        for (std::size_t p = 0; p < prrs.size(); ++p) {
-          if (!prrs[p].running) continue;
-          if (prrs[p].running->priority < best_it->priority &&
-              (victim_prr == prrs.size() ||
-               prrs[p].running->priority <
-                   prrs[victim_prr].running->priority)) {
-            victim_prr = p;
-          }
-        }
-        if (victim_prr == prrs.size()) break;
-
-        // Take the urgent job out FIRST: pushing the victim below may
-        // reallocate `ready` and would invalidate best_it.
-        const Job job = *best_it;
-        ready.erase(best_it);
-
-        PrrState& prr = prrs[victim_prr];
-        Job victim = *prr.running;
-        prr.running.reset();
-        ++result.preemptions;
-        if (config.mode == PreemptMode::kSaveRestore) {
-          icap_time(config.context_save_s);
-          result.total_save_restore_s += config.context_save_s;
-          victim.remaining_s = std::max(0.0, prr.exec_end - now);
-          victim.needs_restore = true;
-        } else {
-          victim.remaining_s = tasks[victim.task].exec_s;  // lost work
-        }
-        ready.push_back(victim);
-        dispatch(victim_prr, job);
-        preempted = true;
-      }
-    }
-
-    // Advance to the next event.
-    double next = std::numeric_limits<double>::infinity();
-    if (next_arrival < tasks.size()) {
-      next = std::min(next, tasks[next_arrival].arrival_s);
-    }
-    for (const PrrState& prr : prrs) {
-      if (prr.running) next = std::min(next, prr.exec_end);
-    }
-    if (!std::isfinite(next)) {
-      if (completed < tasks.size() && ready.empty()) {
-        throw ContractError{"simulate_preemptive: deadlocked schedule"};
-      }
-      continue;  // ready jobs will dispatch next iteration
-    }
-    now = std::max(now, next);
-  }
-
-  // High-priority wait statistic (top quartile by priority).
+  // High-priority wait statistic: the top priority quartile's mean wait.
   std::vector<u32> priorities;
-  priorities.reserve(tasks.size());
   for (const HwTask& task : tasks) priorities.push_back(task.priority);
   std::sort(priorities.begin(), priorities.end());
-  const u32 cutoff = priorities.empty()
-                         ? 0
-                         : priorities[priorities.size() * 3 / 4];
+  const u32 cutoff =
+      priorities.empty() ? 0 : priorities[priorities.size() * 3 / 4];
   double wait_sum = 0;
   u64 wait_count = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (tasks[i].priority >= cutoff) {
-      wait_sum += std::max(0.0, result.tasks[i].wait_s);
-      ++wait_count;
-    }
+    if (tasks[i].priority < cutoff) continue;
+    wait_sum += std::max(0.0, result.tasks[i].wait_s);
+    ++wait_count;
   }
-  result.mean_high_priority_wait_s =
-      wait_count == 0 ? 0.0 : wait_sum / static_cast<double>(wait_count);
+  if (wait_count > 0) {
+    result.mean_high_priority_wait_s =
+        wait_sum / static_cast<double>(wait_count);
+  }
   PRCOST_COUNT("sim.preemptive_runs");
   PRCOST_COUNT_N("sim.preemptions", result.preemptions);
   if (config.faults != nullptr) {

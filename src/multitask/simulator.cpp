@@ -1,252 +1,31 @@
 #include "multitask/simulator.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "obs/obs.hpp"
-#include "util/error.hpp"
 
 namespace prcost {
-
-std::string_view sched_policy_name(SchedPolicy policy) {
-  switch (policy) {
-    case SchedPolicy::kFcfs: return "FCFS";
-    case SchedPolicy::kSjf: return "SJF";
-    case SchedPolicy::kPriority: return "Priority";
-    case SchedPolicy::kReuseAware: return "Reuse-aware";
-  }
-  return "?";
-}
-
-namespace {
-
-struct PrrState {
-  std::optional<u32> loaded;  ///< PRM currently configured
-  double free_at = 0.0;
-  double busy_exec_s = 0.0;   ///< accumulated execution time
-};
-
-/// Pick the next ready task index under `policy`, given idle PRR contents.
-std::size_t pick_task(const std::vector<HwTask>& tasks,
-                      const std::vector<std::size_t>& ready,
-                      SchedPolicy policy,
-                      const std::vector<PrrState>& prrs, double now) {
-  switch (policy) {
-    case SchedPolicy::kFcfs:
-      return ready.front();  // ready is kept in arrival order
-    case SchedPolicy::kSjf: {
-      std::size_t best = ready.front();
-      for (const std::size_t i : ready) {
-        if (tasks[i].exec_s < tasks[best].exec_s) best = i;
-      }
-      return best;
-    }
-    case SchedPolicy::kPriority: {
-      std::size_t best = ready.front();
-      for (const std::size_t i : ready) {
-        if (tasks[i].priority > tasks[best].priority) best = i;
-      }
-      return best;
-    }
-    case SchedPolicy::kReuseAware: {
-      for (const std::size_t i : ready) {
-        for (const PrrState& prr : prrs) {
-          if (prr.free_at <= now && prr.loaded == tasks[i].prm) return i;
-        }
-      }
-      return ready.front();
-    }
-  }
-  throw ContractError{"pick_task: unknown policy"};
-}
-
-std::shared_ptr<const ReconfigController> default_controller() {
-  return std::make_shared<DmaIcapController>(default_icap(Family::kVirtex5));
-}
-
-}  // namespace
 
 SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
                    const SimConfig& config) {
   PRCOST_TRACE_SPAN("multitask_sim");
-  if (config.prr_count == 0) throw ContractError{"simulate: zero PRRs"};
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate: task references unknown PRM"};
-    }
-  }
-  auto controller = config.controller ? config.controller : default_controller();
-
   sort_by_arrival(tasks);
-
-  SimResult result;
-  result.tasks.resize(tasks.size());
-  std::vector<PrrState> prrs(config.prr_count);
-  double icap_free_at = 0.0;
-
-  std::vector<std::size_t> ready;  // arrival order
-  std::size_t next_arrival = 0;
-  std::size_t completed = 0;
-  double now = 0.0;
-  u64 reconfig_bytes = 0;  // tallied locally, counted once after the loop
-  // Per-task re-queue budget consumed (FaultRecovery::kReschedule only).
-  std::vector<u32> reschedules(config.faults ? tasks.size() : 0, 0);
-
-  while (completed < tasks.size()) {
-    // Admit arrivals up to `now`.
-    while (next_arrival < tasks.size() &&
-           tasks[next_arrival].arrival_s <= now) {
-      ready.push_back(next_arrival++);
-    }
-    // Find an idle PRR.
-    std::size_t idle = prrs.size();
-    for (std::size_t p = 0; p < prrs.size(); ++p) {
-      if (prrs[p].free_at <= now) {
-        idle = p;
-        break;
-      }
-    }
-    if (ready.empty() || idle == prrs.size()) {
-      // Advance time to the next interesting instant.
-      double next = std::numeric_limits<double>::infinity();
-      if (next_arrival < tasks.size()) {
-        next = std::min(next, tasks[next_arrival].arrival_s);
-      }
-      if (!ready.empty()) {
-        for (const PrrState& prr : prrs) next = std::min(next, prr.free_at);
-      }
-      if (!std::isfinite(next)) {
-        throw ContractError{"simulate: deadlocked schedule"};
-      }
-      now = std::max(now, next);
-      continue;
-    }
-
-    const std::size_t ti =
-        pick_task(tasks, ready, config.policy, prrs, now);
-    ready.erase(std::find(ready.begin(), ready.end(), ti));
-    const HwTask& task = tasks[ti];
-
-    // Prefer an idle PRR that already holds the PRM.
-    std::size_t target = idle;
-    for (std::size_t p = 0; p < prrs.size(); ++p) {
-      if (prrs[p].free_at <= now && prrs[p].loaded == task.prm) {
-        target = p;
-        break;
-      }
-    }
-    PrrState& prr = prrs[target];
-
-    TaskOutcome& outcome = result.tasks[ti];
-    outcome.task_index = narrow<u32>(ti);
-    outcome.prr = narrow<u32>(target);
-
-    double exec_start = now;
-    if (prr.loaded != task.prm) {
-      // Context switch: serialize on the shared ICAP. With HTR enabled and
-      // the PRM live in another PRR, an on-chip copy can replace the
-      // storage fetch when it is cheaper.
-      const double storage_s =
-          controller->estimate(prms[task.prm].bitstream_bytes, config.media)
-              .total_s;
-      bool relocate = false;
-      if (config.allow_relocation && config.relocation_s > 0.0 &&
-          config.relocation_s < storage_s) {
-        for (std::size_t p = 0; p < prrs.size(); ++p) {
-          if (p != target && prrs[p].loaded == task.prm) {
-            relocate = true;
-            break;
-          }
-        }
-      }
-      if (!relocate && config.faults != nullptr) {
-        // Fault mode: run the CRC-verified transfer loop. The ICAP time
-        // (including failed attempts and backoff) is spent whether or not
-        // the transfer ultimately succeeds.
-        const TransferOutcome xfer = verified_transfer(
-            *controller, prms[task.prm].bitstream_bytes, config.media,
-            config.faults, config.retry);
-        outcome.reconfig_attempts += xfer.attempts;
-        result.retry_attempts += xfer.attempts - 1;
-        result.total_retry_backoff_s += xfer.backoff_s;
-        result.total_fault_wasted_s += xfer.wasted_s;
-        const double switch_start = std::max(now, icap_free_at);
-        icap_free_at = switch_start + xfer.total_s;
-        if (!xfer.success) {
-          // Permanent failure: the PRR's contents are undefined and the
-          // task did not run. Degrade gracefully - re-queue if the budget
-          // allows, otherwise drop with a recorded penalty.
-          ++result.failed_reconfigs;
-          prr.loaded.reset();
-          if (config.recovery == FaultRecovery::kReschedule &&
-              reschedules[ti] < config.max_reschedules) {
-            ++reschedules[ti];
-            ++result.rescheduled_tasks;
-            ready.push_back(ti);
-            continue;
-          }
-          outcome.dropped = true;
-          outcome.start_s = icap_free_at;
-          outcome.finish_s = icap_free_at;
-          outcome.wait_s = icap_free_at - task.arrival_s;
-          result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
-          ++result.dropped_tasks;
-          result.total_penalty_s += config.drop_penalty_s;
-          ++completed;
-          continue;
-        }
-        reconfig_bytes += prms[task.prm].bitstream_bytes;
-        result.total_reconfig_s += xfer.total_s;
-        ++result.reconfig_count;
-        exec_start = icap_free_at;
-        prr.loaded = task.prm;
-        outcome.reconfigured = true;
-      } else {
-        if (!relocate) reconfig_bytes += prms[task.prm].bitstream_bytes;
-        const double switch_s = relocate ? config.relocation_s : storage_s;
-        const double switch_start = std::max(now, icap_free_at);
-        icap_free_at = switch_start + switch_s;
-        exec_start = icap_free_at;
-        prr.loaded = task.prm;
-        outcome.reconfigured = true;
-        if (relocate) {
-          result.total_relocation_s += switch_s;
-          ++result.relocation_count;
-        } else {
-          result.total_reconfig_s += switch_s;
-          ++result.reconfig_count;
-        }
-      }
-    } else {
-      ++result.reuse_hits;
-    }
-    outcome.start_s = exec_start;
-    outcome.finish_s = exec_start + task.exec_s;
-    outcome.wait_s = exec_start - task.arrival_s;
-    prr.free_at = outcome.finish_s;
-    prr.busy_exec_s += task.exec_s;
-    result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
-    ++completed;
-  }
-
-  double wait_sum = 0;
-  for (const TaskOutcome& t : result.tasks) wait_sum += t.wait_s;
-  result.mean_wait_s =
-      tasks.empty() ? 0.0 : wait_sum / static_cast<double>(tasks.size());
-  double busy_sum = 0;
-  for (const PrrState& prr : prrs) busy_sum += prr.busy_exec_s;
-  result.prr_busy_fraction =
-      result.makespan_s > 0
-          ? busy_sum / (result.makespan_s *
-                        static_cast<double>(config.prr_count))
-          : 0.0;
+  CoreConfig core;
+  core.slot_count = config.prr_count;
+  core.policy = config.policy;
+  core.controller = config.controller;
+  core.cold_media = core.warm_media = config.media;
+  if (config.allow_relocation) core.relocation_s = config.relocation_s;
+  core.faults = config.faults;
+  core.retry = config.retry;
+  core.recovery = config.recovery;
+  core.max_reschedules = config.max_reschedules;
+  core.drop_penalty_s = config.drop_penalty_s;
+  SimResult result = run_event_core(prms, tasks, core);
   PRCOST_COUNT("sim.runs");
   PRCOST_COUNT_N("sim.tasks_completed", tasks.size());
   PRCOST_COUNT_N("sim.reconfigs", result.reconfig_count);
   PRCOST_COUNT_N("sim.relocations", result.relocation_count);
   PRCOST_COUNT_N("sim.reuse_hits", result.reuse_hits);
-  PRCOST_COUNT_N("sim.reconfig_bytes", reconfig_bytes);
+  PRCOST_COUNT_N("sim.reconfig_bytes", result.reconfig_bytes);
   if (config.faults != nullptr) {
     // Gated so fault-free runs register no fault metrics at all.
     PRCOST_COUNT_N("sim.failed_reconfigs", result.failed_reconfigs);
@@ -258,56 +37,19 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
 
 SimResult simulate_full_reconfig(
     const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
-    u64 full_bitstream_bytes_, StorageMedia media,
+    u64 full_bitstream_bytes, StorageMedia media,
     std::shared_ptr<const ReconfigController> controller) {
   PRCOST_TRACE_SPAN("multitask_sim_full");
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate_full_reconfig: unknown PRM"};
-    }
-  }
-  if (!controller) controller = default_controller();
-
   sort_by_arrival(tasks);
-
-  SimResult result;
-  result.tasks.resize(tasks.size());
-  std::optional<u32> loaded;
-  double now = 0.0;
-  double exec_sum = 0.0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const HwTask& task = tasks[i];
-    now = std::max(now, task.arrival_s);
-    TaskOutcome& outcome = result.tasks[i];
-    outcome.task_index = narrow<u32>(i);
-    if (loaded != task.prm) {
-      const double reconfig_s =
-          controller->estimate(full_bitstream_bytes_, media).total_s;
-      now += reconfig_s;
-      loaded = task.prm;
-      outcome.reconfigured = true;
-      result.total_reconfig_s += reconfig_s;
-      ++result.reconfig_count;
-    } else {
-      ++result.reuse_hits;
-    }
-    outcome.start_s = now;
-    outcome.finish_s = now + task.exec_s;
-    outcome.wait_s = outcome.start_s - task.arrival_s;
-    now = outcome.finish_s;
-    exec_sum += task.exec_s;
-  }
-  result.makespan_s = now;
-  double wait_sum = 0;
-  for (const TaskOutcome& t : result.tasks) wait_sum += t.wait_s;
-  result.mean_wait_s =
-      tasks.empty() ? 0.0 : wait_sum / static_cast<double>(tasks.size());
-  result.prr_busy_fraction =
-      result.makespan_s > 0 ? exec_sum / result.makespan_s : 0.0;
+  std::vector<PrmInfo> full = prms;  // every switch reloads the device
+  for (PrmInfo& prm : full) prm.bitstream_bytes = full_bitstream_bytes;
+  CoreConfig core;  // one slot, FCFS
+  core.controller = std::move(controller);
+  core.cold_media = core.warm_media = media;
+  SimResult result = run_event_core(full, tasks, core);
   PRCOST_COUNT("sim.full_reconfig_runs");
   PRCOST_COUNT_N("sim.reconfigs", result.reconfig_count);
-  PRCOST_COUNT_N("sim.reconfig_bytes",
-                 result.reconfig_count * full_bitstream_bytes_);
+  PRCOST_COUNT_N("sim.reconfig_bytes", result.reconfig_bytes);
   return result;
 }
 

@@ -1,43 +1,15 @@
-// Event-driven hardware-multitasking simulator.
-//
-// Models the system the paper's title names: PRMs time-multiplexing a pool
-// of PRRs. Each context switch on a PRR loads the incoming PRM's partial
-// bitstream through the (single, shared) ICAP; the static region and other
-// PRRs keep running meanwhile. The simulator quantifies how PRR
-// sizing/organization decisions - via partial bitstream size and hence
-// reconfiguration time - turn into schedule-level makespan, which is the
-// motivation argument of Section I.
+// Event-driven hardware-multitasking simulator: PRMs time-multiplexing a
+// pool of PRRs, the system the paper's title names. It quantifies how PRR
+// sizing - via partial bitstream size and hence reconfiguration time -
+// turns into schedule-level makespan, the motivation of Section I.
 #pragma once
 
-#include <optional>
-#include <string>
+#include <memory>
 #include <vector>
 
-#include "multitask/workload.hpp"
-#include "reconfig/controllers.hpp"
+#include "multitask/event_core.hpp"
 
 namespace prcost {
-
-/// Task-to-PRR dispatch policy.
-enum class SchedPolicy {
-  kFcfs,       ///< arrival order
-  kSjf,        ///< shortest service first
-  kPriority,   ///< highest priority first (FCFS tie-break)
-  kReuseAware, ///< prefer tasks whose PRM is already loaded in an idle PRR
-};
-
-inline constexpr SchedPolicy kAllPolicies[] = {
-    SchedPolicy::kFcfs, SchedPolicy::kSjf, SchedPolicy::kPriority,
-    SchedPolicy::kReuseAware};
-
-std::string_view sched_policy_name(SchedPolicy policy);
-
-/// What to do with a task whose reconfiguration failed permanently (every
-/// verified-transfer retry delivered a corrupted bitstream or timed out).
-enum class FaultRecovery {
-  kDrop,        ///< record the task as dropped with a penalty
-  kReschedule,  ///< re-queue the task (bounded by max_reschedules), then drop
-};
 
 /// Simulation configuration.
 struct SimConfig {
@@ -64,44 +36,12 @@ struct SimConfig {
   double drop_penalty_s = 0.0;  ///< recorded penalty per dropped task
 };
 
-/// Per-task outcome.
-struct TaskOutcome {
-  u32 task_index = 0;
-  u32 prr = 0;
-  bool reconfigured = false;  ///< context switch was needed
-  bool dropped = false;       ///< reconfiguration failed permanently
-  u32 reconfig_attempts = 0;  ///< verified-transfer attempts (fault runs)
-  double start_s = 0;         ///< execution start (post-reconfig)
-  double finish_s = 0;        ///< dropped tasks: instant the ICAP gave up
-  /// Time not spent executing: finish - arrival - exec, i.e. queueing
-  /// delay plus the task's own reconfiguration (and retry) delay. For
-  /// dropped tasks: give-up instant - arrival.
-  double wait_s = 0;
-};
-
-/// Aggregate results.
-struct SimResult {
-  double makespan_s = 0;
-  double total_reconfig_s = 0;
-  u64 reconfig_count = 0;
-  u64 reuse_hits = 0;        ///< dispatches that skipped reconfiguration
-  u64 relocation_count = 0;  ///< context switches served by on-chip copy
-  double total_relocation_s = 0;
-  double mean_wait_s = 0;
-  double prr_busy_fraction = 0;  ///< mean execution utilization of PRRs
-  // Fault accounting (all zero when SimConfig::faults is null).
-  u64 failed_reconfigs = 0;   ///< transfers that exhausted their retries
-  u64 dropped_tasks = 0;      ///< tasks abandoned after permanent failure
-  u64 rescheduled_tasks = 0;  ///< re-queue events (kReschedule)
-  u64 retry_attempts = 0;     ///< transfer attempts beyond the first
-  double total_retry_backoff_s = 0;  ///< time spent backing off
-  double total_fault_wasted_s = 0;   ///< ICAP time on failed attempts
-  double total_penalty_s = 0;        ///< dropped_tasks * drop_penalty_s
-  std::vector<TaskOutcome> tasks;
-};
+/// Aggregate results (the event core's report).
+using SimResult = Report;
 
 /// Simulate `tasks` over `prms` with `config`. Tasks may arrive in any
-/// order; the simulator sorts by (arrival, input order). All PRRs are
+/// order; the simulator sorts by (arrival, input order) and reports
+/// outcomes in that order, with wait = start - arrival. All PRRs are
 /// assumed large enough for every PRM (size the pool with find_shared_prr
 /// first).
 SimResult simulate(const std::vector<PrmInfo>& prms,
@@ -109,7 +49,8 @@ SimResult simulate(const std::vector<PrmInfo>& prms,
 
 /// Non-PR baseline: a single full-device context; every switch between
 /// different PRMs reloads the full bitstream and halts execution (no
-/// overlap, no parallel PRRs).
+/// overlap, no parallel PRRs) - a one-slot FCFS run priced at
+/// `full_bitstream_bytes`.
 SimResult simulate_full_reconfig(const std::vector<PrmInfo>& prms,
                                  std::vector<HwTask> tasks,
                                  u64 full_bitstream_bytes,

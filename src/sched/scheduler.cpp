@@ -1,309 +1,27 @@
 #include "sched/scheduler.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <utility>
-
-#include "device/family_traits.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "reconfig/baselines.hpp"
-#include "reconfig/icap.hpp"
-#include "util/error.hpp"
+#include "obs/obs.hpp"
 
 namespace prcost::sched {
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// One PRR slot: which PRM is configured and when it goes idle.
-struct SlotState {
-  i64 loaded = -1;     ///< PRM index, -1 = empty
-  double free_at = 0;
-};
-
-/// Per-PRM online state for the prefetch rate estimator.
-struct PrmState {
-  double last_arrival_s = 0;
-  bool seen = false;
-  double ewma_gap_s = 0;      ///< 0 until two arrivals observed
-  bool prefetch_issued = false;
-  double prefetch_ready_s = kInf;  ///< when the warm copy is resident
-};
-
-/// Admission order: (arrival, input order), the same canonical tie-break
-/// sort_by_arrival pins for the simulators.
-std::vector<std::size_t> admission_order(const std::vector<Task>& tasks) {
-  std::vector<std::size_t> order(tasks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&tasks](std::size_t a, std::size_t b) {
-              if (tasks[a].arrival_s != tasks[b].arrival_s) {
-                return tasks[a].arrival_s < tasks[b].arrival_s;
-              }
-              return a < b;
-            });
-  return order;
-}
-
-/// Pick the next ready task per policy. `ready` holds positions in
-/// admission order, ascending; every tie breaks toward earlier admission.
-std::size_t pick_ready(const std::vector<std::size_t>& ready,
-                       const std::vector<const Task*>& admitted,
-                       Policy policy) {
-  if (policy == Policy::kFcfs) return 0;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < ready.size(); ++i) {
-    const Task& candidate = *admitted[ready[i]];
-    const Task& incumbent = *admitted[ready[best]];
-    if (policy == Policy::kPriority) {
-      if (candidate.priority > incumbent.priority) best = i;
-    } else {  // kEdf
-      const double cd =
-          candidate.deadline_s > 0 ? candidate.deadline_s : kInf;
-      const double id =
-          incumbent.deadline_s > 0 ? incumbent.deadline_s : kInf;
-      if (cd < id) best = i;
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
-std::string_view policy_name(Policy policy) {
-  switch (policy) {
-    case Policy::kFcfs:     return "fcfs";
-    case Policy::kPriority: return "priority";
-    case Policy::kEdf:      return "edf";
-  }
-  return "fcfs";
-}
-
-Policy parse_policy(std::string_view name) {
-  if (name == "fcfs") return Policy::kFcfs;
-  if (name == "priority") return Policy::kPriority;
-  if (name == "edf") return Policy::kEdf;
-  throw UsageError{"unknown policy '" + std::string{name} +
-                   "' (expected fcfs, priority or edf)"};
-}
 
 Report run(const std::vector<PrmInfo>& prms, std::vector<Task> tasks,
            const SchedulerConfig& config) {
   PRCOST_TRACE_SPAN("sched_run");
-  if (config.slot_count == 0) {
-    throw ContractError{"sched::run: zero PRR slots"};
-  }
-  for (const Task& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"sched::run: task '" + task.name +
-                          "' references unknown PRM " +
-                          std::to_string(task.prm)};
-    }
-  }
-  const std::shared_ptr<const ReconfigController> controller =
-      config.controller != nullptr
-          ? config.controller
-          : std::make_shared<DmaIcapController>(
-                default_icap(Family::kVirtex5));
-  const double alpha =
-      config.rate_alpha > 0 && config.rate_alpha <= 1 ? config.rate_alpha
-                                                      : 0.5;
-
-  Report report;
-  report.tasks.resize(tasks.size());
-  if (tasks.empty()) return report;
-
-  const std::vector<std::size_t> order = admission_order(tasks);
-  std::vector<const Task*> admitted;  // tasks in admission order
-  admitted.reserve(order.size());
-  for (const std::size_t i : order) admitted.push_back(&tasks[i]);
-
-  std::vector<SlotState> slots(config.slot_count);
-  std::vector<double> cpu_free(config.cpu_workers, 0.0);
-  std::vector<PrmState> prm_state(prms.size());
-  double icap_free_at = 0;
-  double clock = 0;
-
-  // Seconds of reconfiguration priced per transfer, given the fetch
-  // media, under the fault model's retry expectation.
-  const auto reconfig_seconds = [&](u32 prm, StorageMedia media) {
-    const double attempt_s =
-        controller->estimate(prms[prm].bitstream_bytes, media).total_s;
-    if (config.fault_rate <= 0) return attempt_s;
-    return expected_retry_cost(attempt_s, config.fault_rate, config.retry)
-        .expected_time_s;
-  };
-
-  // Observe one arrival for the prefetch rate estimator; fires the
-  // prefetch (once per PRM) when the EWMA arrival-rate estimate reaches
-  // the threshold. The staged copy becomes resident one cold fetch later.
-  const auto observe_arrival = [&](u32 prm, double arrival_s) {
-    PrmState& state = prm_state[prm];
-    if (state.seen) {
-      const double gap = arrival_s - state.last_arrival_s;
-      state.ewma_gap_s = state.ewma_gap_s > 0
-                             ? alpha * gap + (1 - alpha) * state.ewma_gap_s
-                             : gap;
-    }
-    state.seen = true;
-    state.last_arrival_s = arrival_s;
-    if (config.prefetch_rate_hz > 0 && !state.prefetch_issued &&
-        state.ewma_gap_s > 0 &&
-        1.0 / state.ewma_gap_s >= config.prefetch_rate_hz) {
-      state.prefetch_issued = true;
-      state.prefetch_ready_s =
-          arrival_s +
-          fetch_seconds(config.cold_media, prms[prm].bitstream_bytes);
-      ++report.prefetches_issued;
-      if (config.prefetch_hook) config.prefetch_hook(prm);
-    }
-  };
-
-  std::vector<std::size_t> ready;  // positions in admission order
-  std::size_t next_admit = 0;
-
-  const auto admit_until = [&](double now) {
-    while (next_admit < admitted.size() &&
-           admitted[next_admit]->arrival_s <= now) {
-      observe_arrival(admitted[next_admit]->prm,
-                      admitted[next_admit]->arrival_s);
-      ready.push_back(next_admit);
-      ++next_admit;
-    }
-  };
-
-  std::size_t dispatched = 0;
-  while (dispatched < admitted.size()) {
-    admit_until(clock);
-    if (ready.empty()) {
-      clock = std::max(clock, admitted[next_admit]->arrival_s);
-      continue;
-    }
-    // Decision points are instants where at least one slot is idle;
-    // otherwise advance to the next event (arrival or slot release) so
-    // later, more urgent arrivals still get considered.
-    double next_free = kInf;
-    bool slot_idle = false;
-    for (const SlotState& slot : slots) {
-      if (slot.free_at <= clock) slot_idle = true;
-      next_free = std::min(next_free, slot.free_at);
-    }
-    if (!slot_idle) {
-      double next_event = next_free;
-      if (next_admit < admitted.size()) {
-        next_event =
-            std::min(next_event, admitted[next_admit]->arrival_s);
-      }
-      clock = std::max(clock, next_event);
-      continue;
-    }
-
-    const std::size_t ready_pos = pick_ready(ready, admitted, config.policy);
-    const std::size_t admit_pos = ready[ready_pos];
-    ready.erase(ready.begin() +
-                static_cast<std::ptrdiff_t>(ready_pos));
-    const Task& task = *admitted[admit_pos];
-    const PrmState& pstate = prm_state[task.prm];
-
-    // Price every candidate slot: residency is free; anything else pays
-    // an ICAP-serialized reconfiguration at warm or cold media speed.
-    struct Placement {
-      std::size_t slot = 0;
-      bool reconfigure = false;
-      bool warm = false;
-      double reconfig_s = 0;
-      double start_s = 0;
-      double finish_s = 0;
-    };
-    Placement best;
-    best.finish_s = kInf;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      Placement candidate;
-      candidate.slot = s;
-      if (slots[s].loaded == static_cast<i64>(task.prm)) {
-        candidate.start_s = std::max(clock, slots[s].free_at);
-      } else {
-        candidate.reconfigure = true;
-        const double reconfig_start =
-            std::max({clock, slots[s].free_at, icap_free_at});
-        candidate.warm = pstate.prefetch_ready_s <= reconfig_start;
-        candidate.reconfig_s = reconfig_seconds(
-            task.prm,
-            candidate.warm ? config.warm_media : config.cold_media);
-        candidate.start_s = reconfig_start + candidate.reconfig_s;
-      }
-      candidate.finish_s = candidate.start_s + task.exec_s;
-      if (candidate.finish_s < best.finish_s) best = candidate;
-    }
-
-    TaskOutcome& outcome = report.tasks[order[admit_pos]];
-    outcome.task = narrow<u32>(order[admit_pos]);
-
-    // Deadline-infeasible on every PRR: run in software instead of
-    // spending ICAP bandwidth on a placement that cannot meet it.
-    bool use_cpu = false;
-    if (task.deadline_s > 0 && best.finish_s > task.deadline_s &&
-        !cpu_free.empty()) {
-      use_cpu = true;
-    }
-    if (use_cpu) {
-      std::size_t worker = 0;
-      for (std::size_t w = 1; w < cpu_free.size(); ++w) {
-        if (cpu_free[w] < cpu_free[worker]) worker = w;
-      }
-      outcome.cpu_fallback = true;
-      outcome.slot = narrow<u32>(worker);
-      outcome.start_s = std::max(clock, cpu_free[worker]);
-      outcome.finish_s =
-          outcome.start_s + task.exec_s * config.cpu_slowdown;
-      cpu_free[worker] = outcome.finish_s;
-      ++report.cpu_fallbacks;
-    } else {
-      outcome.slot = narrow<u32>(best.slot);
-      outcome.reconfigured = best.reconfigure;
-      outcome.prefetched = best.reconfigure && best.warm;
-      outcome.reconfig_s = best.reconfig_s;
-      outcome.start_s = best.start_s;
-      outcome.finish_s = best.finish_s;
-      if (best.reconfigure) {
-        icap_free_at = best.start_s;  // reconfig ends where exec starts
-        ++report.reconfig_count;
-        report.total_reconfig_s += best.reconfig_s;
-        if (best.warm) ++report.prefetched_reconfigs;
-      } else {
-        ++report.reuse_hits;
-      }
-      slots[best.slot].loaded = static_cast<i64>(task.prm);
-      slots[best.slot].free_at = outcome.finish_s;
-    }
-    outcome.wait_s = outcome.start_s - task.arrival_s;
-    outcome.deadline_miss =
-        task.deadline_s > 0 && outcome.finish_s > task.deadline_s;
-    if (outcome.deadline_miss) ++report.deadline_misses;
-    ++dispatched;
-  }
-
-  report.completed = report.tasks.size();
-  double wait = 0;
-  double turnaround = 0;
-  for (std::size_t i = 0; i < report.tasks.size(); ++i) {
-    const TaskOutcome& outcome = report.tasks[i];
-    report.makespan_s = std::max(report.makespan_s, outcome.finish_s);
-    wait += outcome.wait_s;
-    turnaround += outcome.finish_s - tasks[i].arrival_s;
-  }
-  const double n = static_cast<double>(report.tasks.size());
-  report.mean_wait_s = wait / n;
-  report.mean_turnaround_s = turnaround / n;
-  if (report.completed > 0) {
-    report.reconfig_seconds_per_task =
-        report.total_reconfig_s / static_cast<double>(report.completed);
-  }
-  if (report.makespan_s > 0) {
-    report.throughput_per_s =
-        static_cast<double>(report.completed) / report.makespan_s;
-  }
+  CoreConfig core;
+  core.slot_count = config.slot_count;
+  core.policy = config.policy;
+  core.placement = Placement::kEarliestFinish;
+  core.controller = config.controller;
+  core.cold_media = config.cold_media;
+  core.warm_media = config.warm_media;
+  core.fault_rate = config.fault_rate;
+  core.retry = config.retry;
+  core.prefetch_rate_hz = config.prefetch_rate_hz;
+  core.prefetch_hook = config.prefetch_hook;
+  core.cpu_workers = config.cpu_workers;
+  core.cpu_slowdown = config.cpu_slowdown;
+  Report report = run_event_core(prms, tasks, core);
+  if (report.tasks.empty()) return report;  // registers no sched.* metrics
   PRCOST_COUNT_N("sched.tasks", report.completed);
   PRCOST_COUNT_N("sched.reconfigs", report.reconfig_count);
   PRCOST_COUNT_N("sched.reuse_hits", report.reuse_hits);

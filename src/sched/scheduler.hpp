@@ -8,21 +8,20 @@
 //     EDF) over online arrivals (Poisson / bursty generators or JSONL
 //     trace replay - src/sched/generators.hpp);
 //   - a fixed pool of PRR slots (placed upstream by the bitmask
-//     floorplanner) sharing one ICAP, where every candidate placement is
-//     priced through the paper's cost models: controller estimate of the
-//     partial-bitstream transfer (Eq. 18-23 feed the byte size) times the
-//     expected_retry_cost expansion under the PR 5 fault model;
+//     floorplanner) sharing one ICAP, where every slot is priced through
+//     the controller estimate of the Eq. 18-23 partial bitstream, expanded
+//     by expected_retry_cost under the fault model;
 //   - bitstream prefetch: when a PRM's arrival-rate estimate crosses a
 //     threshold its partial bitstream is staged from cold storage into
 //     memory (the process-wide bitstream cache via `prefetch_hook`), so
 //     later reconfigurations fetch at warm-media speed;
-//   - CPU fallback: when every idle PRR placement would miss the task's
-//     deadline, the task runs in software at `cpu_slowdown` cost instead
-//     of wasting ICAP bandwidth on a doomed reconfiguration.
+//   - CPU fallback: when the best placement over every slot (a busy slot
+//     priced from when it frees) would miss the task's deadline, the task
+//     runs in software at `cpu_slowdown` cost instead of wasting ICAP
+//     bandwidth on a doomed reconfiguration.
 //
-// The runtime is single-threaded and fully deterministic: a (prms, tasks,
-// config) triple always produces the identical Report, independent of the
-// engine worker count.
+// The runtime is the shared event core with earliest-finish placement:
+// single-threaded and deterministic for a (prms, tasks, config) triple.
 #pragma once
 
 #include <functional>
@@ -31,34 +30,33 @@
 #include <string_view>
 #include <vector>
 
-#include "multitask/workload.hpp"
-#include "reconfig/controllers.hpp"
-#include "reconfig/faults.hpp"
-#include "reconfig/media.hpp"
-#include "util/ints.hpp"
+#include "multitask/event_core.hpp"
+#include "util/error.hpp"
 
 namespace prcost::sched {
 
-/// Ready-queue discipline.
-enum class Policy {
-  kFcfs,      ///< (arrival, input order) - the admission order itself
-  kPriority,  ///< largest priority first (ties: admission order)
-  kEdf,       ///< earliest absolute deadline first (no deadline = last)
-};
+/// The event core's vocabulary: one policy enum, task, outcome and report
+/// type shared with the simulators. The online runtime offers FCFS,
+/// priority and EDF.
+using Policy = SchedPolicy;
+using Task = HwTask;
+using prcost::Report;
+using prcost::TaskOutcome;
 
-std::string_view policy_name(Policy policy);
+/// Wire spelling: "fcfs", "priority", "edf" (and "sjf", "reuse-aware").
+inline std::string_view policy_name(Policy policy) {
+  constexpr std::string_view kNames[] = {"fcfs", "sjf", "priority",
+                                         "reuse-aware", "edf"};
+  return kNames[static_cast<std::size_t>(policy)];
+}
 /// "fcfs" | "priority" | "edf" -> Policy; throws UsageError otherwise.
-Policy parse_policy(std::string_view name);
-
-/// One online task instance.
-struct Task {
-  std::string name;
-  u32 prm = 0;           ///< index into the PrmInfo table
-  double arrival_s = 0;
-  double exec_s = 0;     ///< hardware execution time once placed
-  u32 priority = 0;      ///< larger = more urgent (kPriority)
-  double deadline_s = 0; ///< absolute completion deadline (0 = none)
-};
+inline Policy parse_policy(std::string_view name) {
+  if (name == "fcfs") return Policy::kFcfs;
+  if (name == "priority") return Policy::kPriority;
+  if (name == "edf") return Policy::kEdf;
+  throw UsageError{"unknown policy '" + std::string{name} +
+                   "' (expected fcfs, priority or edf)"};
+}
 
 struct SchedulerConfig {
   u32 slot_count = 2;    ///< PRR slots (floorplanner-placed upstream)
@@ -75,57 +73,22 @@ struct SchedulerConfig {
   double fault_rate = 0.0;
   RetryPolicy retry;
   /// Prefetch: issue when a PRM's arrival-rate estimate (EWMA of
-  /// inter-arrival gaps) reaches `prefetch_rate_hz` (0 = off). The hook
-  /// (when set) warms the process-wide bitstream cache; staging from cold
-  /// storage completes `fetch_seconds(cold_media, bytes)` later.
+  /// inter-arrival gaps, smoothing 0.5) reaches `prefetch_rate_hz`
+  /// (0 = off). The hook (when set) warms the process-wide bitstream
+  /// cache; staging from cold storage completes
+  /// `fetch_seconds(cold_media, bytes)` later.
   double prefetch_rate_hz = 0.0;
   std::function<void(u32 prm)> prefetch_hook;
-  /// EWMA smoothing for the per-PRM inter-arrival estimate (0..1].
-  double rate_alpha = 0.5;
   /// CPU fallback pool: software execution runs `cpu_slowdown` times
   /// slower than the hardware exec_s, on `cpu_workers` cores.
   u32 cpu_workers = 2;
   double cpu_slowdown = 8.0;
 };
 
-/// Per-task outcome, in input order.
-struct TaskOutcome {
-  u32 task = 0;             ///< input index
-  u32 slot = 0;             ///< PRR slot (or CPU worker when cpu_fallback)
-  bool cpu_fallback = false;
-  bool reconfigured = false;
-  bool prefetched = false;  ///< reconfiguration fetched at warm media
-  bool deadline_miss = false;
-  double reconfig_s = 0;    ///< this task's own reconfiguration time
-  double start_s = 0;       ///< execution start (post-reconfiguration)
-  double finish_s = 0;
-  double wait_s = 0;        ///< start - arrival
-};
-
-/// Aggregate run report. Everything here is deterministic for a fixed
-/// (prms, tasks, config) input.
-struct Report {
-  double makespan_s = 0;
-  u64 completed = 0;
-  u64 reuse_hits = 0;          ///< dispatches that found the PRM resident
-  u64 reconfig_count = 0;
-  double total_reconfig_s = 0;
-  /// Reconfiguration seconds charged per completed task - the bench's
-  /// "effective reconfiguration overhead" axis.
-  double reconfig_seconds_per_task = 0;
-  u64 deadline_misses = 0;
-  u64 cpu_fallbacks = 0;
-  u64 prefetches_issued = 0;
-  u64 prefetched_reconfigs = 0;  ///< reconfigs served at warm media
-  double mean_wait_s = 0;
-  double mean_turnaround_s = 0;  ///< mean (finish - arrival)
-  double throughput_per_s = 0;   ///< completed / makespan
-  std::vector<TaskOutcome> tasks;
-};
-
 /// Run the online scheduler. Tasks may arrive in any order; admission
 /// uses the canonical (arrival, input order) tie-break shared with the
-/// simulators. Throws ContractError on an empty slot pool or a task
+/// simulators. Outcomes come back in input order, with wait = start -
+/// arrival. Throws ContractError on an empty slot pool or a task
 /// referencing an unknown PRM.
 Report run(const std::vector<PrmInfo>& prms, std::vector<Task> tasks,
            const SchedulerConfig& config);

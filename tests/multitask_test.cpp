@@ -127,7 +127,7 @@ TEST(Simulator, DuplicateArrivalsDispatchInInputOrder) {
   ASSERT_EQ(a.tasks.size(), b.tasks.size());
   for (std::size_t i = 0; i < a.tasks.size(); ++i) {
     EXPECT_EQ(a.tasks[i].task_index, b.tasks[i].task_index);
-    EXPECT_EQ(a.tasks[i].prr, b.tasks[i].prr);
+    EXPECT_EQ(a.tasks[i].slot, b.tasks[i].slot);
     EXPECT_EQ(a.tasks[i].start_s, b.tasks[i].start_s);
     EXPECT_EQ(a.tasks[i].finish_s, b.tasks[i].finish_s);
   }

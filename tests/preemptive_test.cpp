@@ -66,7 +66,7 @@ TEST(Preemptive, DuplicateArrivalsAreDeterministic) {
     for (std::size_t i = 0; i < a.tasks.size(); ++i) {
       EXPECT_EQ(a.tasks[i].start_s, b.tasks[i].start_s);
       EXPECT_EQ(a.tasks[i].finish_s, b.tasks[i].finish_s);
-      EXPECT_EQ(a.tasks[i].prr, b.tasks[i].prr);
+      EXPECT_EQ(a.tasks[i].slot, b.tasks[i].slot);
     }
   }
 }
