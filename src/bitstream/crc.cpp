@@ -48,7 +48,7 @@ constexpr u32 zero_steps(u32 s, u32 n) {
 // legal because advancing by zero bits is linear over GF(2)); addr[] is
 // the address bits' own 5-bit contribution, separable for the same
 // linearity reason. byte_[] is the plain reflected byte table, used by the
-// clmul final reduction and crc32c_bytes.
+// portable crc32c_bytes.
 struct Tables {
   u32 word[4][256];
   u32 addr[32];
@@ -173,78 +173,6 @@ __attribute__((target("sse4.2"))) u32 span_hw_crc32(u32 state, u32 reg5,
   return s32;
 }
 
-// PCLMUL carry-less folding. A 128-word superblock is 4736 bits = 74 u64
-// lanes = 37 x 128-bit blocks. In the reflected convention (register bit j
-// holds the coefficient of x^(127-j)), folding the accumulator forward by
-// one block is ACC * x^128 mod-congruent, split over the two halves:
-//
-//   ACC = L_poly * x^64 + H_poly          (L = low qword, H = high qword)
-//   ACC * x^128 = L_poly * x^192 + H_poly * x^128
-//
-// With both operands bit-reflected, PCLMULQDQ(a, k) yields the reflected
-// representation of x * A(x) * K(x), so the constants are taken one power
-// low: kFoldLo = x^191 mod P and kFoldHi = x^127 mod P, each stored as its
-// reflected 32 bits in the top half of a qword. The initial state enters
-// XORed into the low 32 bits of the first block (it is the highest-power
-// part of the superblock polynomial), and the final 128-bit accumulator
-// reduces to the 32-bit state by feeding its 16 bytes through the plain
-// reflected byte table — the CRC of a 16-byte message is exactly
-// ACC * x^32 mod P, which is the state we need.
-constexpr u64 fold_const(u32 power) {
-  // zero_steps(reflect(1), power) = reflected representation of
-  // x^power mod P; park it in the top 32 bits so the qword, read as a
-  // 64-bit reflected polynomial, is the same degree-<32 polynomial.
-  return static_cast<u64>(zero_steps(0x80000000u, power)) << 32;
-}
-
-constexpr u64 kFoldLo = fold_const(191);
-constexpr u64 kFoldHi = fold_const(127);
-
-__attribute__((target("pclmul,sse4.2"))) u32 span_hw_clmul(u32 state,
-                                                           u32 reg5,
-                                                           const u32* words,
-                                                           std::size_t n) {
-  const u64 addr_bits = static_cast<u64>(reg5) << 32;
-  const __m128i fold_k = _mm_set_epi64x(static_cast<long long>(kFoldHi),
-                                        static_cast<long long>(kFoldLo));
-  std::size_t blocks = n / 128;
-  while (blocks-- > 0) {
-    u64 lanes[74];
-    u64 cur = 0;
-    u32 bit = 0;
-    u32 li = 0;
-    for (u32 i = 0; i < 128; ++i) {
-      const u64 sym = words[i] | addr_bits;
-      cur |= sym << bit;
-      bit += 37;
-      if (bit >= 64) {
-        lanes[li++] = cur;
-        bit -= 64;
-        cur = sym >> (37 - bit);
-      }
-    }
-    const u64* p = lanes;
-    __m128i acc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    acc = _mm_xor_si128(acc, _mm_cvtsi32_si128(static_cast<int>(state)));
-    for (u32 i = 1; i < 37; ++i) {
-      const __m128i block =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2 * i));
-      const __m128i lo = _mm_clmulepi64_si128(acc, fold_k, 0x00);
-      const __m128i hi = _mm_clmulepi64_si128(acc, fold_k, 0x11);
-      acc = _mm_xor_si128(_mm_xor_si128(lo, hi), block);
-    }
-    alignas(16) unsigned char bytes[16];
-    _mm_store_si128(reinterpret_cast<__m128i*>(bytes), acc);
-    u32 s = 0;
-    for (u32 i = 0; i < 16; ++i) {
-      s = (s >> 8) ^ kTables.byte_[(s ^ bytes[i]) & 0xFFu];
-    }
-    state = s;
-    words += 128;
-  }
-  return span_hw_crc32(state, reg5, words, n % 128);
-}
-
 __attribute__((target("sse4.2"))) u32 crc32c_bytes_hw(const unsigned char* p,
                                                      std::size_t size) {
   u64 s = 0xFFFFFFFFu;
@@ -261,14 +189,10 @@ __attribute__((target("sse4.2"))) u32 crc32c_bytes_hw(const unsigned char* p,
 }
 
 bool cpu_has_sse42() { return __builtin_cpu_supports("sse4.2") != 0; }
-bool cpu_has_pclmul() {
-  return cpu_has_sse42() && __builtin_cpu_supports("pclmul") != 0;
-}
 
 #else  // !PRCOST_CRC_X86
 
 bool cpu_has_sse42() { return false; }
-bool cpu_has_pclmul() { return false; }
 
 #endif  // PRCOST_CRC_X86
 
@@ -283,8 +207,6 @@ u32 span_with(CrcImpl impl, u32 state, u32 reg5, const u32* words,
 #if PRCOST_CRC_X86
     case CrcImpl::kHwCrc32:
       return span_hw_crc32(state, reg5, words, n);
-    case CrcImpl::kHwClmul:
-      return span_hw_clmul(state, reg5, words, n);
 #endif
     case CrcImpl::kSliced:
     default:
@@ -296,13 +218,7 @@ constexpr int kImplUnresolved = -1;
 std::atomic<int> g_impl{kImplUnresolved};
 
 CrcImpl best_available() {
-  // The scalar CRC32 instruction wins on the 37-bit config-symbol stream:
-  // the perf_bitstream_throughput harness measures it ~1.7x faster than
-  // the PCLMUL fold (whose symbol packing eats the wide-multiply gain),
-  // so it is the auto pick; PRCOST_FORCE_CRC=clmul still selects folding.
-  if (cpu_has_sse42()) return CrcImpl::kHwCrc32;
-  if (cpu_has_pclmul()) return CrcImpl::kHwClmul;
-  return CrcImpl::kSliced;
+  return cpu_has_sse42() ? CrcImpl::kHwCrc32 : CrcImpl::kSliced;
 }
 
 CrcImpl resolve_default() {
@@ -312,18 +228,8 @@ CrcImpl resolve_default() {
       return CrcImpl::kBitSerial;
     }
     if (name == "sliced" || name == "table") return CrcImpl::kSliced;
-    if (name == "sse42" || name == "crc32") {
-      if (crc_impl_available(CrcImpl::kHwCrc32)) return CrcImpl::kHwCrc32;
-    }
-    if (name == "clmul" || name == "pclmul") {
-      if (crc_impl_available(CrcImpl::kHwClmul)) return CrcImpl::kHwClmul;
-    }
-    if (name == "hw" || name == "sse42" || name == "crc32" ||
-        name == "clmul" || name == "pclmul") {
-      const CrcImpl best = best_available();
-      return best == CrcImpl::kSliced ? CrcImpl::kSliced : best;
-    }
-    // Unknown name: fall through to the auto pick.
+    // "hw", "sse42" and "crc32" (available or not) and unknown names
+    // all fall through to the auto pick, the fastest available path.
   }
   return best_available();
 }
@@ -337,8 +243,6 @@ bool crc_impl_available(CrcImpl impl) {
       return true;
     case CrcImpl::kHwCrc32:
       return cpu_has_sse42();
-    case CrcImpl::kHwClmul:
-      return cpu_has_pclmul();
   }
   return false;
 }
@@ -371,8 +275,6 @@ const char* crc_impl_name(CrcImpl impl) {
       return "sliced";
     case CrcImpl::kHwCrc32:
       return "hw-crc32";
-    case CrcImpl::kHwClmul:
-      return "hw-clmul";
   }
   return "unknown";
 }

@@ -18,14 +18,11 @@
 //               2368 bits = 37 u64 lanes, so a burst packs its 37-bit
 //               symbols into u64 lanes and feeds them straight through
 //               `_mm_crc32_u64` with no combine step
-//   kHwClmul    PCLMUL carry-less folding: 128-word superblocks (74 lanes
-//               = 37 x 128-bit blocks) folded with x^191 / x^127 mod P
-//               constants, then reduced back to 32 bits by byte table
 //
 // The default is chosen by CPUID at first use; `PRCOST_FORCE_CRC`
-// (bitserial | sliced | hw | sse42 | clmul) overrides it, and
-// `set_crc_impl` overrides both (used by benches and tests). All four
-// implementations are bit-identical; the dispatch is purely a speed knob.
+// (bitserial | sliced | hw | sse42) overrides it, and `set_crc_impl`
+// overrides both (used by benches and tests). All three implementations
+// are bit-identical; the dispatch is purely a speed knob.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +38,6 @@ enum class CrcImpl {
   kBitSerial = 0,
   kSliced = 1,
   kHwCrc32 = 2,
-  kHwClmul = 3,
 };
 
 /// True when `impl` can run on this machine (CPUID check for hw paths).
@@ -56,7 +52,7 @@ CrcImpl active_crc_impl();
 /// the dispatch unchanged) when `impl` is not available on this machine.
 bool set_crc_impl(CrcImpl impl);
 
-/// Stable short name ("bitserial", "sliced", "hw-crc32", "hw-clmul").
+/// Stable short name ("bitserial", "sliced", "hw-crc32").
 const char* crc_impl_name(CrcImpl impl);
 
 /// Advance a reflected-domain accumulator (the `ConfigCrc` state, i.e.

@@ -1,9 +1,8 @@
 // Equivalence tests for the runtime-dispatched configuration CRC: every
 // available implementation (bit-serial oracle, sliced tables, SSE4.2
-// crc32, PCLMUL folding) must produce identical states over random spans,
-// spans straddling every block boundary the hardware kernels care about
-// (the 64-word lane block and the 128-word fold superblock), and every
-// length 0..64 word by word.
+// crc32) must produce identical states over random spans, spans
+// straddling the 64-word lane block of the hardware kernel and its
+// multiples, and every length 0..64 word by word.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,8 +16,7 @@ namespace {
 std::vector<CrcImpl> available_impls() {
   std::vector<CrcImpl> impls;
   for (const CrcImpl impl :
-       {CrcImpl::kBitSerial, CrcImpl::kSliced, CrcImpl::kHwCrc32,
-        CrcImpl::kHwClmul}) {
+       {CrcImpl::kBitSerial, CrcImpl::kSliced, CrcImpl::kHwCrc32}) {
     if (crc_impl_available(impl)) impls.push_back(impl);
   }
   return impls;
@@ -40,7 +38,6 @@ TEST(CrcDispatch, ImplNamesAreStable) {
   EXPECT_STREQ(crc_impl_name(CrcImpl::kBitSerial), "bitserial");
   EXPECT_STREQ(crc_impl_name(CrcImpl::kSliced), "sliced");
   EXPECT_STREQ(crc_impl_name(CrcImpl::kHwCrc32), "hw-crc32");
-  EXPECT_STREQ(crc_impl_name(CrcImpl::kHwClmul), "hw-clmul");
 }
 
 TEST(CrcDispatch, AllImplsMatchOracleOnAllLengthsUpTo64) {
@@ -63,8 +60,8 @@ TEST(CrcDispatch, AllImplsMatchOracleOnAllLengthsUpTo64) {
 TEST(CrcDispatch, AllImplsMatchOracleAroundBlockBoundaries) {
   Rng rng{0xC0FFEE02};
   const auto impls = available_impls();
-  // The hw kernels switch strategy at 64-word (crc32 lanes) and 128-word
-  // (clmul superblock) boundaries; exercise one span on each side.
+  // The hw kernel switches strategy at 64-word (crc32 lane) boundaries;
+  // exercise spans on each side of several multiples.
   for (const std::size_t len :
        {std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{127},
         std::size_t{128}, std::size_t{129}, std::size_t{191},
@@ -143,7 +140,7 @@ TEST(CrcDispatch, ConfigCrcMatchesOracleUnderEveryForcedImpl) {
 }
 
 TEST(CrcDispatch, SetCrcImplRejectsUnavailable) {
-  for (const CrcImpl impl : {CrcImpl::kHwCrc32, CrcImpl::kHwClmul}) {
+  for (const CrcImpl impl : {CrcImpl::kHwCrc32}) {
     if (!crc_impl_available(impl)) {
       const CrcImpl before = active_crc_impl();
       EXPECT_FALSE(set_crc_impl(impl));
