@@ -27,10 +27,8 @@ ParResult place_and_route(Netlist mapped, const PrrPlan& plan,
     result.packing = pack_slices(mapped, options.pack);
   }
 
-  PlaceOptions place_options = options.place;
-  place_options.seed = options.seed;
   result.placement =
-      place_into_prr(mapped, plan, fabric, result.packing, place_options);
+      place_into_prr(mapped, plan, fabric, result.packing, options.place);
   if (!result.placement.feasible) {
     result.failure_reason = result.placement.failure_reason;
     return result;

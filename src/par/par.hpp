@@ -10,9 +10,8 @@
 
 namespace prcost {
 
-/// Implementation options.
+/// Implementation options. The flow's only seed is `place.seed`.
 struct ParOptions {
-  u64 seed = 1;
   PackOptions pack;
   PlaceOptions place;
 };

@@ -236,6 +236,26 @@ TEST(Par, PlacementSeesTheCallersPacking) {
   EXPECT_EQ(par.placement.pairs_needed, par.packing.lut_ff_pairs);
 }
 
+TEST(Par, PlaceSeedReachesThePlacer) {
+  // ParOptions::place.seed is the flow's only seed: a non-default value
+  // must steer the anneal, and the same value must reproduce it.
+  const auto anneal = [](u64 seed) {
+    auto synth = synthesize(make_uart(), SynthOptions{Family::kVirtex5});
+    const auto plan =
+        find_prr(PrmRequirements::from_report(synth.report), lx110t());
+    ParOptions options;
+    options.place.seed = seed;
+    options.place.anneal_moves = 2000;
+    return place_and_route(std::move(synth.netlist), plan.value(), lx110t(),
+                           options)
+        .placement;
+  };
+  const PlaceResult seeded = anneal(99);
+  ASSERT_TRUE(seeded.feasible);
+  EXPECT_EQ(seeded.hpwl_final, anneal(99).hpwl_final);
+  EXPECT_NE(seeded.hpwl_final, anneal(1).hpwl_final);
+}
+
 TEST(Par, MipsFailsOnPostParSizedVirtex6Prr) {
   // The paper: re-deriving the PRR from post-PAR requirements left no
   // slack and "MIPS failed place and route on the Virtex-6". Reproduce the
