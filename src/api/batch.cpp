@@ -102,15 +102,18 @@ std::optional<DeadlineScope> arm_deadline(
   return std::optional<DeadlineScope>{std::in_place, arrival + budget};
 }
 
-}  // namespace
-
-Json dispatch_request(const Engine& engine, const Json& request) {
+/// The one dispatch body: the request's "deadline_ms" budget is anchored
+/// at `arrival`, so time spent queued behind other requests counts and an
+/// overloaded server answers "deadline" instead of doing work nobody is
+/// waiting for.
+Json dispatch_at(const Engine& engine, const Json& request,
+                 DeadlineClock::time_point arrival) {
   Json envelope = Json::object();
   try {
     if (!request.is_object()) {
       throw UsageError{"request must be a JSON object"};
     }
-    const auto scope = arm_deadline(request, DeadlineClock::now());
+    const auto scope = arm_deadline(request, arrival);
     check_deadline("admission");
     Json result = dispatch_by_op(engine, request);
     envelope.set("result", std::move(result));
@@ -121,6 +124,12 @@ Json dispatch_request(const Engine& engine, const Json& request) {
   }
   if (request.is_object()) echo_request_keys(request, envelope);
   return envelope;
+}
+
+}  // namespace
+
+Json dispatch_request(const Engine& engine, const Json& request) {
+  return dispatch_at(engine, request, DeadlineClock::now());
 }
 
 Json dispatch_line(const Engine& engine, std::string_view line) {
@@ -135,25 +144,7 @@ Json dispatch_line_at(const Engine& engine, std::string_view line,
   } catch (const ParseError& error) {
     return error_envelope(ErrorCode::kParse, error.what());
   }
-  Json envelope = Json::object();
-  try {
-    if (!request.is_object()) {
-      throw UsageError{"request must be a JSON object"};
-    }
-    // Anchor the budget at arrival: time spent queued behind other
-    // requests counts, so an overloaded server answers "deadline" instead
-    // of doing work nobody is waiting for.
-    const auto scope = arm_deadline(request, arrival);
-    check_deadline("admission");
-    Json result = dispatch_by_op(engine, request);
-    envelope.set("result", std::move(result));
-  } catch (const Error& error) {
-    envelope = error_envelope(error.code(), error.what());
-  } catch (const std::exception& error) {
-    envelope = error_envelope(ErrorCode::kInternal, error.what());
-  }
-  if (request.is_object()) echo_request_keys(request, envelope);
-  return envelope;
+  return dispatch_at(engine, request, arrival);
 }
 
 BatchStats run_batch(const Engine& engine, std::istream& in, std::ostream& out,
