@@ -6,10 +6,14 @@
 // --device, and generates every plan's partial bitstream three ways:
 //
 //   bit_serial  - a local replica of the pre-slicing generator (word-at-a-
-//                 time push_back + BitSerialConfigCrc), the baseline;
+//                 time push_back + BitSerialConfigCrc), the baseline. It
+//                 draws its payload from its own Rng, so it also checks
+//                 the generator's memoized payload tape independently;
 //   sliced      - generate_bitstream_into with a reused scratch buffer
 //                 (dispatched span CRC - hardware when available - one
-//                 exact reserve, bulk payload spans);
+//                 exact reserve, payload bursts copied from the payload
+//                 tape, which the verification pass has already grown, so
+//                 this row reads a warm tape and draws no payload words);
 //   cached      - generate_bitstream_cached steady-state hits.
 //
 // A fourth section ("hw") times the raw config-CRC kernel itself over a

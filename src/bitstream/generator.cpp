@@ -1,5 +1,9 @@
 #include "bitstream/generator.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <memory>
+#include <mutex>
 #include <span>
 
 #include "bitstream/crc.hpp"
@@ -63,9 +67,96 @@ void fill_payload(std::span<u32> dst, Rng& payload,
   }
 }
 
-void emit_burst(std::vector<u32>& out, ConfigCrc& crc, Rng& payload,
-                const GeneratorOptions& options, FrameBlock block, u32 row,
-                u32 first_col, u64 word_count) {
+/// Option sets whose payload sequence is memoized; streams of further
+/// option sets draw their own words.
+constexpr std::size_t kMaxPayloadTapes = 8;
+
+/// The payload word sequence of one option set, drawn so far.
+struct PayloadTape {
+  PayloadKind kind;
+  u64 seed;
+  u64 density_bits;  ///< sparse_density's bits under kSparse, else 0
+  Rng rng;           ///< state after the last word of `words`
+  std::shared_ptr<const std::vector<u32>> words;
+};
+
+/// A snapshot of at least `words` payload words for `options`, or null
+/// when every tape slot holds another option set.
+///
+/// Every stream draws its FDRI words from a fresh Rng{payload_seed} in
+/// stream order, so the payload of every stream with the same options is
+/// a prefix of one fixed sequence. The tape memoizes that sequence. It
+/// grows only when a stream needs more words than it holds, to exactly
+/// that length, continuing from the saved Rng state; a grown tape is a new
+/// immutable vector, so readers slice their snapshot without the lock.
+std::shared_ptr<const std::vector<u32>> payload_tape(
+    const GeneratorOptions& options, std::size_t words) {
+  static std::mutex mu;
+  static std::vector<PayloadTape> tapes;
+  const u64 density_bits = options.payload == PayloadKind::kSparse
+                               ? std::bit_cast<u64>(options.sparse_density)
+                               : 0;
+  const std::lock_guard lock{mu};
+  auto tape = std::find_if(tapes.begin(), tapes.end(), [&](const auto& t) {
+    return t.kind == options.payload && t.seed == options.payload_seed &&
+           t.density_bits == density_bits;
+  });
+  if (tape == tapes.end()) {
+    if (tapes.size() == kMaxPayloadTapes) return nullptr;
+    tape = tapes.insert(
+        tapes.end(),
+        PayloadTape{options.payload, options.payload_seed, density_bits,
+                    Rng{options.payload_seed},
+                    std::make_shared<const std::vector<u32>>()});
+  }
+  const std::vector<u32>& held = *tape->words;
+  if (held.size() < words) {
+    auto grown = std::make_shared<std::vector<u32>>(words);
+    std::copy(held.begin(), held.end(), grown->begin());
+    fill_payload(std::span<u32>{*grown}.subspan(held.size()), tape->rng,
+                 options);
+    tape->words = std::move(grown);
+  }
+  return tape->words;
+}
+
+/// The FDRI words of one stream, in order: slices of its option set's
+/// payload tape, or - for kZeros, and when no tape slot is free - drawn
+/// in place as the tape would have drawn them.
+class PayloadSource {
+ public:
+  PayloadSource(const GeneratorOptions& options, u64 payload_words)
+      : options_{options}, rng_{options.payload_seed} {
+    if (options.payload != PayloadKind::kZeros) {
+      tape_ = payload_tape(options, static_cast<std::size_t>(payload_words));
+    }
+  }
+
+  /// Append the next `count` payload words to `out`.
+  void append(std::vector<u32>& out, std::size_t count) {
+    if (tape_) {
+      if (count > tape_->size() - next_) {
+        throw ContractError{"generate_bitstream: payload past its tape"};
+      }
+      const auto first = tape_->begin() + static_cast<std::ptrdiff_t>(next_);
+      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(count));
+      next_ += count;
+      return;
+    }
+    const std::size_t at = out.size();
+    out.resize(at + count);
+    fill_payload(std::span<u32>{out}.subspan(at), rng_, options_);
+  }
+
+ private:
+  const GeneratorOptions& options_;
+  Rng rng_;
+  std::shared_ptr<const std::vector<u32>> tape_;
+  std::size_t next_ = 0;
+};
+
+void emit_burst(std::vector<u32>& out, ConfigCrc& crc, PayloadSource& payload,
+                FrameBlock block, u32 row, u32 first_col, u64 word_count) {
   // FAR_FDRI = 5 words: NOOP, FAR write (2), FDRI type-1 header with
   // zero count, type-2 header carrying the real count.
   out.push_back(cfg::kNoop);
@@ -75,11 +166,41 @@ void emit_burst(std::vector<u32>& out, ConfigCrc& crc, Rng& payload,
   out.push_back(type1(PacketOp::kWrite, ConfigReg::kFdri, 0));
   out.push_back(type2(PacketOp::kWrite, narrow<u32>(word_count)));
   const std::size_t payload_at = out.size();
-  out.resize(payload_at + static_cast<std::size_t>(word_count));
-  const std::span<u32> dst{out.data() + payload_at,
-                           static_cast<std::size_t>(word_count)};
-  fill_payload(dst, payload, options);
-  crc.update_span(ConfigReg::kFdri, dst);
+  payload.append(out, static_cast<std::size_t>(word_count));
+  crc.update_span(ConfigReg::kFdri,
+                  std::span<const u32>{out}.subspan(payload_at));
+}
+
+/// Payload words of one fabric row's bursts.
+struct RowWords {
+  u64 cfg = 0;   ///< configuration frames, flush frame included
+  u64 bram = 0;  ///< BRAM initialization frames; 0 without BRAM columns
+  u64 total() const { return cfg + bram; }
+};
+
+/// A row's configuration burst is (NCF_CLB + NCF_DSP + NCF_BRAM + 1)
+/// frames - Eq. (19)'s data component; its BRAM burst, when the window
+/// holds BRAM columns, is DF_BRAM frames per column plus one.
+RowWords row_words(const ColumnDemand& columns, const FamilyTraits& t) {
+  const u64 cfg_frames = checked_mul(columns.clb_cols, t.cf_clb) +
+                         checked_mul(columns.dsp_cols, t.cf_dsp) +
+                         checked_mul(columns.bram_cols, t.cf_bram) + 1;
+  const u64 bram_frames =
+      columns.bram_cols > 0 ? checked_mul(columns.bram_cols, t.df_bram) + 1
+                            : 0;
+  return RowWords{checked_mul(cfg_frames, t.frame_size),
+                  checked_mul(bram_frames, t.frame_size)};
+}
+
+/// One fabric row: the configuration burst, then the BRAM burst if any.
+void emit_row(std::vector<u32>& out, ConfigCrc& crc, PayloadSource& payload,
+              const RowWords& words, u32 row, u32 first_col) {
+  emit_burst(out, crc, payload, FrameBlock::kInterconnect, row, first_col,
+             words.cfg);
+  if (words.bram > 0) {
+    emit_burst(out, crc, payload, FrameBlock::kBramContent, row, first_col,
+               words.bram);
+  }
 }
 
 u32 resolve_idcode(const GeneratorOptions& options, Family family) {
@@ -181,26 +302,11 @@ void generate_bitstream_into(std::vector<u32>& out, const PrrPlan& plan,
     throw ContractError{"generate_bitstream: header/IW mismatch"};
   }
 
-  // Configuration frame words per row: (NCF_CLB + NCF_DSP + NCF_BRAM + 1)
-  // frames - Eq. (19)'s data component.
-  const u64 cfg_frames = checked_mul(org.columns.clb_cols, t.cf_clb) +
-                         checked_mul(org.columns.dsp_cols, t.cf_dsp) +
-                         checked_mul(org.columns.bram_cols, t.cf_bram) + 1;
-  const u64 cfg_words = checked_mul(cfg_frames, t.frame_size);
-  const u64 bram_frames =
-      org.columns.bram_cols > 0
-          ? checked_mul(org.columns.bram_cols, t.df_bram) + 1
-          : 0;
-  const u64 bram_words = checked_mul(bram_frames, t.frame_size);
-
-  Rng payload{options.payload_seed};
+  const RowWords words = row_words(org.columns, t);
+  PayloadSource payload{options, checked_mul(org.h, words.total())};
   for (u32 row = 0; row < org.h; ++row) {
-    emit_burst(out, crc, payload, options, FrameBlock::kInterconnect,
-               plan.first_row + row, plan.window.first_col, cfg_words);
-    if (org.columns.bram_cols > 0) {
-      emit_burst(out, crc, payload, options, FrameBlock::kBramContent,
-                 plan.first_row + row, plan.window.first_col, bram_words);
-    }
+    emit_row(out, crc, payload, words, plan.first_row + row,
+             plan.window.first_col);
   }
 
   end_stream(out, family, crc);
@@ -232,24 +338,17 @@ void generate_shaped_bitstream_into(std::vector<u32>& out,
   out.reserve(static_cast<std::size_t>(total_words));
 
   ConfigCrc crc = begin_stream(out, family, idcode);
-  Rng payload{options.payload_seed};
+  u64 payload_words = 0;
   for (const PrrBand& band : shape.bands) {
-    const auto& columns = band.organization.columns;
-    const u64 cfg_frames = checked_mul(columns.clb_cols, t.cf_clb) +
-                           checked_mul(columns.dsp_cols, t.cf_dsp) +
-                           checked_mul(columns.bram_cols, t.cf_bram) + 1;
-    const u64 cfg_words = checked_mul(cfg_frames, t.frame_size);
-    const u64 bram_frames =
-        columns.bram_cols > 0 ? checked_mul(columns.bram_cols, t.df_bram) + 1
-                              : 0;
-    const u64 bram_words = checked_mul(bram_frames, t.frame_size);
+    const RowWords words = row_words(band.organization.columns, t);
+    payload_words += checked_mul(band.organization.h, words.total());
+  }
+  PayloadSource payload{options, payload_words};
+  for (const PrrBand& band : shape.bands) {
+    const RowWords words = row_words(band.organization.columns, t);
     for (u32 row = 0; row < band.organization.h; ++row) {
-      emit_burst(out, crc, payload, options, FrameBlock::kInterconnect,
-                 band.first_row + row, band.window.first_col, cfg_words);
-      if (columns.bram_cols > 0) {
-        emit_burst(out, crc, payload, options, FrameBlock::kBramContent,
-                   band.first_row + row, band.window.first_col, bram_words);
-      }
+      emit_row(out, crc, payload, words, band.first_row + row,
+               band.window.first_col);
     }
   }
 
@@ -279,27 +378,22 @@ void generate_full_bitstream_into(std::vector<u32>& out, const Fabric& fabric,
   // flush frame - the same accounting as full_bitstream_bytes().
   const u64 cfg_frames =
       fabric.window_config_frames(ColumnWindow{0, fabric.num_columns()}) + 1;
-  const u64 cfg_words = checked_mul(cfg_frames, t.frame_size);
   const u64 bram_cols = fabric.column_count(ColumnType::kBram);
   const u64 bram_frames =
       bram_cols > 0 ? checked_mul(bram_cols, t.df_bram) + 1 : 0;
-  const u64 bram_words = checked_mul(bram_frames, t.frame_size);
-  const u64 row_words = t.far_fdri + cfg_words +
-                        (bram_cols > 0 ? t.far_fdri + bram_words : 0);
+  const RowWords words{checked_mul(cfg_frames, t.frame_size),
+                       checked_mul(bram_frames, t.frame_size)};
+  const u64 row_total =
+      t.far_fdri + words.cfg + (bram_cols > 0 ? t.far_fdri + words.bram : 0);
   const u64 total_words =
-      t.iw + checked_mul(fabric.rows(), row_words) + t.fw;
+      t.iw + checked_mul(fabric.rows(), row_total) + t.fw;
   out.clear();
   out.reserve(static_cast<std::size_t>(total_words));
 
   ConfigCrc crc = begin_stream(out, family, idcode);
-  Rng payload{options.payload_seed};
+  PayloadSource payload{options, checked_mul(fabric.rows(), words.total())};
   for (u32 row = 0; row < fabric.rows(); ++row) {
-    emit_burst(out, crc, payload, options, FrameBlock::kInterconnect, row, 0,
-               cfg_words);
-    if (bram_cols > 0) {
-      emit_burst(out, crc, payload, options, FrameBlock::kBramContent, row, 0,
-                 bram_words);
-    }
+    emit_row(out, crc, payload, words, row, 0);
   }
 
   end_stream(out, family, crc);

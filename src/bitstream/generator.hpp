@@ -33,6 +33,13 @@ enum class PayloadKind {
 };
 
 /// Generation options.
+///
+/// The FDRI payload of a stream depends only on (payload, payload_seed,
+/// sparse_density): every stream reads the same word sequence from its
+/// start, in burst order, so a shorter stream's payload is a prefix of a
+/// longer one's. The generator memoizes that sequence per option set in
+/// a process-wide, read-only payload tape; the bytes are the same as
+/// drawing each word fresh.
 struct GeneratorOptions {
   /// Seed for the deterministic frame payload filler (stands in for the
   /// placed-and-routed design's actual configuration bits).

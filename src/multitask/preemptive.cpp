@@ -44,6 +44,8 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
   }
   PRCOST_COUNT("sim.preemptive_runs");
   PRCOST_COUNT_N("sim.preemptions", result.preemptions);
+  PRCOST_COUNT_N("reconfig.icap_writes", result.reconfig_count);
+  PRCOST_COUNT_N("reconfig.icap_bytes", result.reconfig_bytes);
   if (config.faults != nullptr) {
     PRCOST_COUNT_N("sim.failed_reconfigs", result.failed_reconfigs);
     PRCOST_COUNT_N("sim.dropped_tasks", result.dropped_tasks);

@@ -26,6 +26,8 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
   PRCOST_COUNT_N("sim.relocations", result.relocation_count);
   PRCOST_COUNT_N("sim.reuse_hits", result.reuse_hits);
   PRCOST_COUNT_N("sim.reconfig_bytes", result.reconfig_bytes);
+  PRCOST_COUNT_N("reconfig.icap_writes", result.reconfig_count);
+  PRCOST_COUNT_N("reconfig.icap_bytes", result.reconfig_bytes);
   if (config.faults != nullptr) {
     // Gated so fault-free runs register no fault metrics at all.
     PRCOST_COUNT_N("sim.failed_reconfigs", result.failed_reconfigs);
@@ -50,6 +52,8 @@ SimResult simulate_full_reconfig(
   PRCOST_COUNT("sim.full_reconfig_runs");
   PRCOST_COUNT_N("sim.reconfigs", result.reconfig_count);
   PRCOST_COUNT_N("sim.reconfig_bytes", result.reconfig_bytes);
+  PRCOST_COUNT_N("reconfig.icap_writes", result.reconfig_count);
+  PRCOST_COUNT_N("reconfig.icap_bytes", result.reconfig_bytes);
   return result;
 }
 

@@ -11,6 +11,11 @@ Bus pad_to(Netlist& nl, const Bus& a, std::size_t width) {
   return out;
 }
 
+/// Bit `i` of `value`; bits at and above 64 read 0.
+bool bit_of(u64 value, std::size_t i) {
+  return i < 64 && ((value >> i) & 1) != 0;
+}
+
 }  // namespace
 
 NetId LogicBuilder::lnot(NetId a) {
@@ -57,7 +62,7 @@ Bus LogicBuilder::constant(u32 width, u64 value) {
   Bus out;
   out.reserve(width);
   for (u32 i = 0; i < width; ++i) {
-    out.push_back(nl_.const_net(((value >> i) & 1) != 0));
+    out.push_back(nl_.const_net(bit_of(value, i)));
   }
   return out;
 }
@@ -163,8 +168,7 @@ NetId LogicBuilder::eq_const(const Bus& a, u64 value) {
   Bus matches;
   matches.reserve(a.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const bool bit = ((value >> i) & 1) != 0;
-    matches.push_back(bit ? a[i] : lnot(a[i]));
+    matches.push_back(bit_of(value, i) ? a[i] : lnot(a[i]));
   }
   return reduce_and(matches);
 }

@@ -54,7 +54,8 @@ class LogicBuilder {
   NetId mux2(NetId sel, NetId a, NetId b);
 
   // --- buses ---------------------------------------------------------------
-  /// Constant bus of `width` bits holding `value` (shared const cells).
+  /// Constant bus of `width` bits holding `value` (shared const cells);
+  /// bits at and above 64 are 0.
   Bus constant(u32 width, u64 value);
   /// Bit-wise ops (equal widths required).
   Bus and_bus(const Bus& a, const Bus& b);

@@ -8,17 +8,16 @@
 namespace prcost {
 namespace {
 
-/// Shared tally for every controller's estimate() entry point.
-void note_estimate(u64 bytes) {
-  PRCOST_COUNT("reconfig.estimates");
-  PRCOST_HIST("reconfig.bytes_per_transfer", bytes, 1e3, 1e4, 1e5, 1e6, 1e7);
-}
+/// Shared tally for every controller's estimate() entry point. It counts
+/// pricings; the ICAP writes a run books are counted by the multitasking
+/// adapters from its Report.
+void note_estimate() { PRCOST_COUNT("reconfig.estimates"); }
 
 }  // namespace
 
 ReconfigEstimate CpuIcapController::estimate(u64 bytes,
                                              StorageMedia media) const {
-  note_estimate(bytes);
+  note_estimate();
   ReconfigEstimate e;
   e.fetch_s = fetch_seconds(media, bytes);
   e.write_s = icap_write_seconds(icap_, bytes);
@@ -30,7 +29,7 @@ ReconfigEstimate CpuIcapController::estimate(u64 bytes,
 
 ReconfigEstimate DmaIcapController::estimate(u64 bytes,
                                              StorageMedia media) const {
-  note_estimate(bytes);
+  note_estimate();
   ReconfigEstimate e;
   e.fetch_s = fetch_seconds(media, bytes);
   e.write_s = icap_write_seconds(icap_, bytes);
@@ -57,7 +56,7 @@ FarmController::FarmController(IcapModel icap, double compression_ratio,
 
 ReconfigEstimate FarmController::estimate(u64 bytes,
                                           StorageMedia media) const {
-  note_estimate(bytes);
+  note_estimate();
   ReconfigEstimate e;
   const auto compressed =
       static_cast<u64>(static_cast<double>(bytes) * compression_ratio_);

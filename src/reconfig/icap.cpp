@@ -1,6 +1,5 @@
 #include "reconfig/icap.hpp"
 
-#include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
@@ -22,8 +21,6 @@ double icap_write_seconds(const IcapModel& icap, u64 bytes,
     throw ContractError{"icap_write_seconds: busy factor must be in [0,1)"};
   }
   const double effective = icap.peak_bytes_per_s() * (1.0 - busy_factor);
-  PRCOST_COUNT("reconfig.icap_writes");
-  PRCOST_COUNT_N("reconfig.icap_bytes", bytes);
   return static_cast<double>(bytes) / effective;
 }
 

@@ -24,6 +24,8 @@ Report run(const std::vector<PrmInfo>& prms, std::vector<Task> tasks,
   if (report.tasks.empty()) return report;  // registers no sched.* metrics
   PRCOST_COUNT_N("sched.tasks", report.completed);
   PRCOST_COUNT_N("sched.reconfigs", report.reconfig_count);
+  PRCOST_COUNT_N("reconfig.icap_writes", report.reconfig_count);
+  PRCOST_COUNT_N("reconfig.icap_bytes", report.reconfig_bytes);
   PRCOST_COUNT_N("sched.reuse_hits", report.reuse_hits);
   PRCOST_COUNT_N("sched.prefetches", report.prefetches_issued);
   PRCOST_COUNT_N("sched.cpu_fallbacks", report.cpu_fallbacks);

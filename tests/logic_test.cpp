@@ -57,6 +57,21 @@ TEST_F(LogicFixture, ConstantBus) {
   EXPECT_EQ(sim.eval_bus(c), 0xA5u);
 }
 
+TEST_F(LogicFixture, WideConstantAndEqConstReadZeroAbove64) {
+  // A u64 value carries no bits >= 64: wider buses read them as 0.
+  const Bus c = lb.constant(100, ~0ull);
+  const Bus a = nl.input_bus("a", 70);
+  const NetId hit = lb.eq_const(a, ~0ull);
+  NetlistSim sim{nl};
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(sim.eval(c[i]), i < 64) << i;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) sim.set_input(a[i], i < 64);
+  EXPECT_TRUE(sim.eval(hit));
+  sim.set_input(a[64], true);
+  EXPECT_FALSE(sim.eval(hit));
+}
+
 // Parameterized adder sweep: LUT+CARRY4 construction must add correctly.
 class AdderSweep : public ::testing::TestWithParam<std::tuple<u64, u64>> {};
 
