@@ -4,7 +4,8 @@
 // by running the bench itself via --run), flattens every numeric leaf into
 // a "<bench>.<path>" metric, stamps the set with timestamp / git SHA /
 // compiler / host, appends one JSONL entry to a trajectory file, and
-// compares against the previous entry. Only keys whose name implies a
+// compares each metric against its latest earlier value in that file
+// (whichever bench row carried it last). Only keys whose name implies a
 // direction are compared:
 //
 //   higher is better:  contains "per_sec", contains "speedup"
@@ -24,6 +25,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -135,17 +137,40 @@ std::string compiler_version() {
 #endif
 }
 
-// Last non-empty line of the trajectory file = the previous entry.
-std::optional<Json> previous_entry(const std::string& path) {
+// The latest earlier value of every metric: each trajectory line
+// overrides the keys it carries, so a bench's row is compared with that
+// bench's previous row even when rows of other benches were appended in
+// between. Null when no line has a metrics object. A malformed line
+// (truncated write, merge artifact) is skipped with a warning rather than
+// wedging --check.
+std::optional<std::map<std::string, double>> previous_metrics(
+    const std::string& path) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
-  std::string line;
-  std::string last;
-  while (std::getline(in, line)) {
-    if (!line.empty()) last = line;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) lines.push_back(std::move(line));
   }
-  if (last.empty()) return std::nullopt;
-  return Json::parse(last);
+  std::optional<std::map<std::string, double>> latest;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    Json entry;
+    try {
+      entry = Json::parse(lines[i]);
+    } catch (const std::exception& e) {
+      std::cerr << "warning: ignoring malformed "
+                << (i + 1 == lines.size() ? std::string{"last entry"}
+                                          : "entry " + std::to_string(i + 1))
+                << " in " << path << " (" << e.what() << ")\n";
+      continue;
+    }
+    const Json* metrics = entry.find("metrics");
+    if (metrics == nullptr || !metrics->is_object()) continue;
+    if (!latest) latest.emplace();
+    for (const auto& [key, value] : metrics->as_object()) {
+      if (value.is_number()) (*latest)[key] = value.as_double();
+    }
+  }
+  return latest;
 }
 
 int usage(const char* argv0) {
@@ -256,28 +281,16 @@ int main(int argc, char** argv) {
   }
 
   // ----------------------------------------------- compare vs previous --
-  // A damaged trajectory (truncated write, merge artifact) must not wedge
-  // the harness: warn, act as if there is no baseline, and let the append
-  // below start a fresh comparable entry. CI with --check then passes
-  // cleanly instead of failing on a parse error forever.
-  std::optional<Json> previous;
-  try {
-    previous = previous_entry(trajectory);
-  } catch (const std::exception& e) {
-    std::cerr << "warning: ignoring malformed last entry in " << trajectory
-              << " (" << e.what() << "); treating as no baseline\n";
-  }
-  const Json* prev_metrics =
-      previous ? previous->find("metrics") : nullptr;
+  const auto previous = previous_metrics(trajectory);
 
   int regressions = 0;
   int compared = 0;
   for (const auto& metric : metrics) {
     const int dir = direction(metric.key);
-    if (dir == 0 || prev_metrics == nullptr) continue;
-    const Json* prev = prev_metrics->find(metric.key);
-    if (prev == nullptr || !prev->is_number()) continue;
-    const double before = prev->as_double();
+    if (dir == 0 || !previous) continue;
+    const auto prev = previous->find(metric.key);
+    if (prev == previous->end()) continue;
+    const double before = prev->second;
     if (before <= 0) continue;
     ++compared;
     const double change = (metric.value - before) / before;
@@ -292,7 +305,7 @@ int main(int argc, char** argv) {
                   metric.key.c_str(), before, metric.value, change * 100);
     }
   }
-  if (prev_metrics == nullptr) {
+  if (!previous) {
     std::printf("no previous entry in %s; baseline only\n",
                 trajectory.c_str());
   } else {

@@ -119,4 +119,28 @@ if(NOT out MATCHES "no previous entry")
   message(FATAL_ERROR "empty trajectory: expected baseline-only: ${out}")
 endif()
 
+# Rows of different benches interleave in one trajectory: a regressed row
+# of bench A is compared with A's previous row even when a row of another
+# bench B sits in between (not with B's row, which shares no metric).
+set(traj_mixed ${WORK}/bench_report_test_mixed.jsonl)
+file(REMOVE ${traj_mixed})
+file(WRITE ${WORK}/bench_report_other.json "{\"p99_ms\": 3.0}\n")
+execute_process(COMMAND ${TOOL} --in fake=${WORK}/bench_report_good.json
+                --trajectory ${traj_mixed}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+expect_rc(${rc} 0 "mixed: row A")
+execute_process(COMMAND ${TOOL} --in other=${WORK}/bench_report_other.json
+                --trajectory ${traj_mixed}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+expect_rc(${rc} 0 "mixed: row B")
+execute_process(COMMAND ${TOOL} --in fake=${WORK}/bench_report_bad.json
+                --trajectory ${traj_mixed} --check
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc(${rc} 3 "mixed: regressed row A after row B")
+if(NOT out MATCHES "REGRESSION fake.partitions_per_sec" OR
+   NOT out MATCHES "REGRESSION fake.gen_ns" OR
+   NOT out MATCHES "2 metric\\(s\\) compared, 2 regression\\(s\\)")
+  message(FATAL_ERROR "mixed: regression behind another bench's row missed: ${out}")
+endif()
+
 message(STATUS "bench_report contract holds")
