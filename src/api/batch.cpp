@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "api/deadline.hpp"
-#include "obs/metrics.hpp"
+#include "api/ops.hpp"
 #include "util/error.hpp"
 #include "util/lines.hpp"
 #include "util/parallel.hpp"
@@ -43,48 +43,12 @@ Json dispatch_by_op(const Engine& engine, const Json& request) {
   const Json* op = request.find("op");
   if (op == nullptr) throw UsageError{"request needs an \"op\" member"};
   const std::string& name = op->as_string();
-  if (name == "devices") return to_json(engine.list_devices());
-  if (name == "synth") {
-    return to_json(engine.synth(synth_request_from_json(request)));
+  const Op* entry = find_op(name);
+  if (entry == nullptr) {
+    throw NotFoundError{"unknown op '" + name + "' (known: " + op_names() +
+                        ")"};
   }
-  if (name == "plan") {
-    return to_json(engine.plan(plan_request_from_json(request)));
-  }
-  if (name == "bitstream") {
-    return to_json(engine.bitstream(bitstream_request_from_json(request)));
-  }
-  if (name == "explore") {
-    return to_json(engine.explore(explore_request_from_json(request)));
-  }
-  if (name == "rank") {
-    return to_json(engine.rank(rank_request_from_json(request)));
-  }
-  if (name == "faults") {
-    return to_json(engine.faults(faults_request_from_json(request)));
-  }
-  if (name == "optimize") {
-    return to_json(engine.optimize(optimize_request_from_json(request)));
-  }
-  if (name == "schedule") {
-    return to_json(engine.schedule(schedule_request_from_json(request)));
-  }
-  if (name == "ping") {
-    // Health probe: answers without touching the evaluation path, so a
-    // serve health check stays cheap even under load.
-    Json result = Json::object();
-    result.set("pong", true);
-    return result;
-  }
-  if (name == "metrics") {
-    // Live OpenMetrics scrape of the process-wide registry (the serve
-    // observability endpoint; also usable from batch for a final dump).
-    Json result = Json::object();
-    result.set("openmetrics", engine.metrics().to_openmetrics());
-    return result;
-  }
-  throw NotFoundError{"unknown op '" + name +
-                      "' (known: devices synth plan bitstream explore rank "
-                      "faults optimize schedule ping metrics)"};
+  return entry->dispatch(engine, request);
 }
 
 /// Arm the request's "deadline_ms" budget (anchored at `arrival`) for the

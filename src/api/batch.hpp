@@ -20,9 +20,8 @@
 
 namespace prcost::api {
 
-/// Dispatch one parsed request object by its "op" member ("devices",
-/// "synth", "plan", "bitstream", "explore", "rank", "faults", "optimize",
-/// "ping", "metrics"). Returns the response envelope; all Errors are
+/// Dispatch one parsed request object by its "op" member through the op
+/// table (api/ops.hpp). Returns the response envelope; all Errors are
 /// captured into the error envelope, never thrown. An "id" member, when
 /// present, is echoed back verbatim. A numeric "deadline_ms" member arms a
 /// per-request deadline (stable "deadline" error code on expiry), checked

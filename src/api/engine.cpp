@@ -138,8 +138,6 @@ std::vector<PrmInfo> synthesize_prms(const std::vector<std::string>& names,
 Engine::Engine() : Engine(Options{}) {}
 
 Engine::Engine(const Options& options) : options_(options) {
-  set_plan_cache_enabled(options_.plan_cache);
-  set_bitstream_cache_enabled(options_.bitstream_cache);
   if (!options_.cache_dir.empty()) load_caches();
 }
 

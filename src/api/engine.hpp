@@ -3,10 +3,13 @@
 // One Engine owns the process-wide machinery every request needs - the
 // device catalog, the PRR plan cache, the persistent parallel_for worker
 // pool, and the observability registry - and exposes each paper workflow
-// as a typed request -> typed response call. The CLI commands, the JSONL
-// batch front-end, and embedding consumers (partitioners, schedulers,
-// services) all go through the same five calls, so device lookup,
-// synthesis-report loading, and error mapping live in exactly one place.
+// as a typed request -> typed response call. The CLI commands and the
+// JSONL batch and serve front-ends (all through the op table, api/ops.hpp),
+// and embedding consumers (partitioners, schedulers, services) all go through
+// the same nine calls, so device lookup, synthesis-report loading, and
+// error mapping live in exactly one place. The process-wide plan and
+// bitstream caches are switched with set_plan_cache_enabled /
+// set_bitstream_cache_enabled; constructing an Engine leaves them as set.
 //
 // Failures are reported through the structured taxonomy in
 // util/error.hpp: UsageError for malformed requests, NotFoundError for
@@ -25,12 +28,6 @@ namespace prcost::api {
 class Engine {
  public:
   struct Options {
-    /// Enable the process-wide PRR plan cache (results are identical
-    /// either way; off is an escape hatch for benchmarking).
-    bool plan_cache = true;
-    /// Enable the process-wide generated-bitstream cache (byte-identical
-    /// either way; off is an escape hatch for benchmarking).
-    bool bitstream_cache = true;
     /// Default worker count for explore/rank and batch dispatch when the
     /// request leaves its own `workers` at 0 (0 = one per hardware thread).
     std::size_t workers = 0;

@@ -1,62 +1,63 @@
 #include "api/requests.hpp"
 
+#include <string_view>
+#include <type_traits>
+
 #include "netlist/generators.hpp"
 #include "util/error.hpp"
 
 namespace prcost::api {
 namespace {
 
-/// Join the builtin PRM names for error messages.
-std::string prm_name_list() {
-  std::string out;
-  for (const std::string& name : builtin_prm_names()) {
-    if (!out.empty()) out += ' ';
-    out += name;
+/// One built-in PRM: its catalog name and its generator.
+struct BuiltinPrm {
+  std::string_view name;
+  Netlist (*make)();
+};
+
+/// The generator catalog, in canonical (usage-banner) order.
+constexpr BuiltinPrm kBuiltinPrms[] = {
+    {"fir", [] { return make_fir(); }},
+    {"mips", [] { return make_mips5(); }},
+    {"sdram", [] { return make_sdram_ctrl(); }},
+    {"aes", [] { return make_aes_round(); }},
+    {"crc32", [] { return make_crc32(); }},
+    {"uart", [] { return make_uart(); }},
+    {"matmul", [] { return make_matmul(); }},
+    {"sobel", [] { return make_sobel(); }},
+    {"fft", [] { return make_fft_stage(); }},
+};
+
+/// Overwrite `field` with the request member `key` when it is present, so
+/// each default lives only in the request struct's initializer.
+template <typename T>
+void read(const Json& j, std::string_view key, T& field) {
+  const Json* member = j.find(key);
+  if (member == nullptr) return;
+  if constexpr (std::is_same_v<T, std::string>) {
+    field = member->as_string();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    field = member->as_bool();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    field = member->as_double();
+  } else if constexpr (std::is_integral_v<T>) {
+    field = narrow<T>(member->as_u64());
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    field.clear();
+    for (const Json& item : member->as_array()) {
+      field.push_back(item.as_string());
+    }
+  } else {  // std::optional of a scalar: set only when present
+    typename T::value_type value{};
+    read(j, key, value);
+    field = value;
   }
-  return out;
 }
 
-std::string get_string(const Json& j, std::string_view key,
-                       const std::string& fallback = {}) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_string();
-}
-
-u64 get_u64(const Json& j, std::string_view key, u64 fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_u64();
-}
-
-bool get_bool(const Json& j, std::string_view key, bool fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_bool();
-}
-
-double get_double(const Json& j, std::string_view key, double fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_double();
-}
-
-PrmSource source_from_json(const Json& j) {
-  PrmSource source;
-  source.prm = get_string(j, "prm");
-  source.netlist_path = get_string(j, "netlist");
-  source.report_path = get_string(j, "report");
-  return source;
-}
-
-std::vector<std::string> prms_from_json(const Json& j) {
-  const Json* member = j.find("prms");
-  if (member == nullptr) return {};
-  std::vector<std::string> prms;
-  for (const Json& name : member->as_array()) prms.push_back(name.as_string());
-  return prms;
-}
-
-void set_source(Json& j, const PrmSource& source) {
-  if (!source.prm.empty()) j.set("prm", source.prm);
-  if (!source.netlist_path.empty()) j.set("netlist", source.netlist_path);
-  if (!source.report_path.empty()) j.set("report", source.report_path);
+void read_source(const Json& j, PrmSource& source) {
+  read(j, "prm", source.prm);
+  read(j, "netlist", source.netlist_path);
+  read(j, "report", source.report_path);
 }
 
 Json prms_to_json(const std::vector<std::string>& prms) {
@@ -124,23 +125,23 @@ void PrmSource::validate() const {
 }
 
 Netlist make_builtin_prm(const std::string& name) {
-  if (name == "fir") return make_fir();
-  if (name == "mips") return make_mips5();
-  if (name == "sdram") return make_sdram_ctrl();
-  if (name == "aes") return make_aes_round();
-  if (name == "crc32") return make_crc32();
-  if (name == "uart") return make_uart();
-  if (name == "matmul") return make_matmul();
-  if (name == "sobel") return make_sobel();
-  if (name == "fft") return make_fft_stage();
-  throw NotFoundError{"unknown PRM '" + name + "' (known: " + prm_name_list() +
-                      ")"};
+  for (const BuiltinPrm& prm : kBuiltinPrms) {
+    if (prm.name == name) return prm.make();
+  }
+  std::string known;
+  for (const BuiltinPrm& prm : kBuiltinPrms) {
+    if (!known.empty()) known += ' ';
+    known += prm.name;
+  }
+  throw NotFoundError{"unknown PRM '" + name + "' (known: " + known + ")"};
 }
 
 const std::vector<std::string>& builtin_prm_names() {
-  static const std::vector<std::string> names{
-      "fir", "mips", "sdram", "aes", "crc32", "uart", "matmul", "sobel",
-      "fft"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const BuiltinPrm& prm : kBuiltinPrms) out.emplace_back(prm.name);
+    return out;
+  }();
   return names;
 }
 
@@ -151,132 +152,109 @@ SearchObjective parse_objective(const std::string& name) {
   throw UsageError{"unknown objective '" + name + "'"};
 }
 
-std::string_view objective_name(SearchObjective objective) {
-  switch (objective) {
-    case SearchObjective::kMinArea:       return "area";
-    case SearchObjective::kFirstFeasible: return "height";
-    case SearchObjective::kMinBitstream:  return "bitstream";
-  }
-  return "area";
-}
-
 SynthRequest synth_request_from_json(const Json& j) {
   SynthRequest request;
-  request.source = source_from_json(j);
-  request.family = parse_family(get_string(j, "family", "v5"));
+  read_source(j, request.source);
+  if (const Json* family = j.find("family")) {
+    request.family = parse_family(family->as_string());
+  }
   return request;
 }
 
 PlanRequest plan_request_from_json(const Json& j) {
   PlanRequest request;
-  request.device = get_string(j, "device");
-  request.source = source_from_json(j);
-  request.objective = parse_objective(get_string(j, "objective", "area"));
-  request.shaped = get_bool(j, "shaped", false);
-  request.cross_check = get_bool(j, "cross_check", true);
+  read(j, "device", request.device);
+  read_source(j, request.source);
+  if (const Json* objective = j.find("objective")) {
+    request.objective = parse_objective(objective->as_string());
+  }
+  read(j, "shaped", request.shaped);
+  read(j, "cross_check", request.cross_check);
   return request;
 }
 
 BitstreamRequest bitstream_request_from_json(const Json& j) {
   BitstreamRequest request;
-  request.device = get_string(j, "device");
-  request.source = source_from_json(j);
+  read(j, "device", request.device);
+  read_source(j, request.source);
   return request;
 }
 
 ExploreRequest explore_request_from_json(const Json& j) {
   ExploreRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.workers = get_u64(j, "workers", 0);
-  request.max_groups = narrow<u32>(get_u64(j, "max_groups", 0));
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  request.cross_check = get_bool(j, "cross_check", false);
+  read(j, "device", request.device);
+  read(j, "prms", request.prms);
+  read(j, "workers", request.workers);
+  read(j, "max_groups", request.max_groups);
+  read(j, "tasks", request.tasks);
+  read(j, "seed", request.seed);
+  read(j, "cross_check", request.cross_check);
   return request;
 }
 
 RankRequest rank_request_from_json(const Json& j) {
   RankRequest request;
-  request.prms = prms_from_json(j);
-  request.workers = get_u64(j, "workers", 0);
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
+  read(j, "prms", request.prms);
+  read(j, "workers", request.workers);
+  read(j, "tasks", request.tasks);
+  read(j, "seed", request.seed);
   return request;
 }
 
 FaultsRequest faults_request_from_json(const Json& j) {
   FaultsRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.prr_count = narrow<u32>(get_u64(j, "prr_count", 2));
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("stall_rate")) {
-    request.stall_rate = get_double(j, "stall_rate", 0.0);
-  }
-  if (j.find("fault_seed")) {
-    request.fault_seed = get_u64(j, "fault_seed", 0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.media = get_string(j, "media", "ddr");
-  request.recovery = get_string(j, "recovery", "drop");
-  request.strict = get_bool(j, "strict", false);
+  read(j, "device", request.device);
+  read(j, "prms", request.prms);
+  read(j, "prr_count", request.prr_count);
+  read(j, "tasks", request.tasks);
+  read(j, "seed", request.seed);
+  read(j, "fault_rate", request.fault_rate);
+  read(j, "stall_rate", request.stall_rate);
+  read(j, "fault_seed", request.fault_seed);
+  read(j, "max_retries", request.max_retries);
+  read(j, "media", request.media);
+  read(j, "recovery", request.recovery);
+  read(j, "strict", request.strict);
   return request;
 }
 
 OptimizeRequest optimize_request_from_json(const Json& j) {
   OptimizeRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.prm_count = narrow<u32>(get_u64(j, "prm_count", 0));
-  request.groups = narrow<u32>(get_u64(j, "groups", 0));
-  request.seed = get_u64(j, "seed", 1);
-  request.rounds = narrow<u32>(get_u64(j, "rounds", 48));
-  request.proposals_per_round =
-      narrow<u32>(get_u64(j, "proposals_per_round", 8));
-  request.media = get_string(j, "media", "ddr");
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.workers = get_u64(j, "workers", 0);
+  read(j, "device", request.device);
+  read(j, "prms", request.prms);
+  read(j, "prm_count", request.prm_count);
+  read(j, "groups", request.groups);
+  read(j, "seed", request.seed);
+  read(j, "rounds", request.rounds);
+  read(j, "proposals_per_round", request.proposals_per_round);
+  read(j, "media", request.media);
+  read(j, "fault_rate", request.fault_rate);
+  read(j, "max_retries", request.max_retries);
+  read(j, "workers", request.workers);
   return request;
 }
 
 ScheduleRequest schedule_request_from_json(const Json& j) {
   ScheduleRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.slots = narrow<u32>(get_u64(j, "slots", 2));
-  request.policy = get_string(j, "policy", "fcfs");
-  request.workload = get_string(j, "workload", "poisson");
-  request.trace = get_string(j, "trace", "");
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  request.mean_interarrival_s =
-      get_double(j, "mean_interarrival_s", 2.0e-3);
-  request.mean_exec_s = get_double(j, "mean_exec_s", 5.0e-3);
-  request.deadline_factor = get_double(j, "deadline_factor", 0.0);
-  request.media = get_string(j, "media", "flash");
-  request.warm_media = get_string(j, "warm_media", "ddr");
-  request.prefetch_rate_hz = get_double(j, "prefetch_rate_hz", 0.0);
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.cpu_workers = narrow<u32>(get_u64(j, "cpu_workers", 2));
-  request.cpu_slowdown = get_double(j, "cpu_slowdown", 8.0);
-  request.detail = get_bool(j, "detail", false);
+  read(j, "device", request.device);
+  read(j, "prms", request.prms);
+  read(j, "slots", request.slots);
+  read(j, "policy", request.policy);
+  read(j, "workload", request.workload);
+  read(j, "trace", request.trace);
+  read(j, "tasks", request.tasks);
+  read(j, "seed", request.seed);
+  read(j, "mean_interarrival_s", request.mean_interarrival_s);
+  read(j, "mean_exec_s", request.mean_exec_s);
+  read(j, "deadline_factor", request.deadline_factor);
+  read(j, "media", request.media);
+  read(j, "warm_media", request.warm_media);
+  read(j, "prefetch_rate_hz", request.prefetch_rate_hz);
+  read(j, "fault_rate", request.fault_rate);
+  read(j, "max_retries", request.max_retries);
+  read(j, "cpu_workers", request.cpu_workers);
+  read(j, "cpu_slowdown", request.cpu_slowdown);
+  read(j, "detail", request.detail);
   return request;
 }
 
@@ -470,54 +448,6 @@ Json to_json(const DevicesResponse& r) {
   return j;
 }
 
-Json to_json(const SynthRequest& r) {
-  Json j = Json::object();
-  j.set("op", "synth");
-  set_source(j, r.source);
-  j.set("family", std::string{family_name(r.family)});
-  return j;
-}
-
-Json to_json(const PlanRequest& r) {
-  Json j = Json::object();
-  j.set("op", "plan").set("device", r.device);
-  set_source(j, r.source);
-  j.set("objective", std::string{objective_name(r.objective)})
-      .set("shaped", r.shaped)
-      .set("cross_check", r.cross_check);
-  return j;
-}
-
-Json to_json(const BitstreamRequest& r) {
-  Json j = Json::object();
-  j.set("op", "bitstream").set("device", r.device);
-  set_source(j, r.source);
-  return j;
-}
-
-Json to_json(const ExploreRequest& r) {
-  Json j = Json::object();
-  j.set("op", "explore")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("workers", static_cast<u64>(r.workers))
-      .set("max_groups", r.max_groups)
-      .set("tasks", r.tasks)
-      .set("seed", r.seed)
-      .set("cross_check", r.cross_check);
-  return j;
-}
-
-Json to_json(const RankRequest& r) {
-  Json j = Json::object();
-  j.set("op", "rank")
-      .set("prms", prms_to_json(r.prms))
-      .set("workers", static_cast<u64>(r.workers))
-      .set("tasks", r.tasks)
-      .set("seed", r.seed);
-  return j;
-}
-
 Json to_json(const OptimizeResponse& r) {
   Json j = Json::object();
   j.set("device", r.device)
@@ -589,63 +519,6 @@ Json to_json(const ScheduleResponse& r) {
     j.set("tasks", std::move(tasks));
   }
   set_stats(j, r.stats);
-  return j;
-}
-
-Json to_json(const FaultsRequest& r) {
-  Json j = Json::object();
-  j.set("op", "faults")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("prr_count", r.prr_count)
-      .set("tasks", r.tasks)
-      .set("seed", r.seed);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.stall_rate) j.set("stall_rate", *r.stall_rate);
-  if (r.fault_seed) j.set("fault_seed", *r.fault_seed);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  j.set("media", r.media).set("recovery", r.recovery).set("strict", r.strict);
-  return j;
-}
-
-Json to_json(const OptimizeRequest& r) {
-  Json j = Json::object();
-  j.set("op", "optimize").set("device", r.device);
-  if (!r.prms.empty()) j.set("prms", prms_to_json(r.prms));
-  if (r.prm_count != 0) j.set("prm_count", r.prm_count);
-  if (r.groups != 0) j.set("groups", r.groups);
-  j.set("seed", r.seed)
-      .set("rounds", r.rounds)
-      .set("proposals_per_round", r.proposals_per_round)
-      .set("media", r.media);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  if (r.workers != 0) j.set("workers", static_cast<u64>(r.workers));
-  return j;
-}
-
-Json to_json(const ScheduleRequest& r) {
-  Json j = Json::object();
-  j.set("op", "schedule")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("slots", r.slots)
-      .set("policy", r.policy)
-      .set("workload", r.workload);
-  if (!r.trace.empty()) j.set("trace", r.trace);
-  j.set("tasks", r.tasks)
-      .set("seed", r.seed)
-      .set("mean_interarrival_s", r.mean_interarrival_s)
-      .set("mean_exec_s", r.mean_exec_s)
-      .set("deadline_factor", r.deadline_factor)
-      .set("media", r.media)
-      .set("warm_media", r.warm_media)
-      .set("prefetch_rate_hz", r.prefetch_rate_hz);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  j.set("cpu_workers", r.cpu_workers)
-      .set("cpu_slowdown", r.cpu_slowdown)
-      .set("detail", r.detail);
   return j;
 }
 

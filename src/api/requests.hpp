@@ -1,10 +1,11 @@
 // Typed request/response layer of the library-first engine API.
 //
-// Each CLI command (and each JSONL batch op) is a plain struct in and a
-// plain struct out, with JSON (de)serialization alongside, so the same
-// evaluation path serves the shell, a batch stream, and an embedding
-// partitioner/scheduler without re-deriving device lookup, synthesis
-// loading, or output formatting per entry point. The wire schema is
+// Each op in the op table (api/ops.hpp) is a plain struct in and a plain
+// struct out, with request-from-JSON and response-to-JSON alongside, so
+// the CLI, a batch stream, a serve connection, and an embedding
+// partitioner/scheduler share one evaluation path. Every request default
+// is written once, in the struct's member initializer: from-JSON
+// overwrites only the members a request carries. The wire schema is
 // documented in README.md ("Batch mode & the JSONL API").
 #pragma once
 
@@ -42,7 +43,6 @@ const std::vector<std::string>& builtin_prm_names();
 
 /// "area" | "height" | "bitstream" -> objective; throws UsageError.
 SearchObjective parse_objective(const std::string& name);
-std::string_view objective_name(SearchObjective objective);
 
 // ---------------------------------------------------------------- synth --
 
@@ -383,14 +383,5 @@ Json to_json(const DevicesResponse& r);
 Json to_json(const FaultsResponse& r);
 Json to_json(const OptimizeResponse& r);
 Json to_json(const ScheduleResponse& r);
-
-Json to_json(const SynthRequest& r);
-Json to_json(const PlanRequest& r);
-Json to_json(const BitstreamRequest& r);
-Json to_json(const ExploreRequest& r);
-Json to_json(const RankRequest& r);
-Json to_json(const FaultsRequest& r);
-Json to_json(const OptimizeRequest& r);
-Json to_json(const ScheduleRequest& r);
 
 }  // namespace prcost::api

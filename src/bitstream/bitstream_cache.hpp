@@ -18,8 +18,8 @@
 //
 // Hit/miss/eviction counts are exported through the obs metrics registry
 // ("bitstream_cache.hits" / ".misses" / ".evictions") and through stats()
-// for callers that keep metrics off. The `prcost` CLI exposes
-// --no-bitstream-cache as the escape hatch.
+// for callers that keep metrics off. set_bitstream_cache_enabled(false) is
+// the escape hatch.
 #pragma once
 
 #include <memory>

@@ -18,8 +18,9 @@
 // computation, so results with the cache disabled match results with it
 // enabled. Hit/miss/eviction counts are exported through the obs metrics
 // registry ("plan_cache.hits" / ".misses" / ".evictions") and through
-// stats() for callers that keep metrics off. The `prcost` CLI exposes
-// --no-plan-cache as the escape hatch.
+// stats() for callers that keep metrics off. set_plan_cache_enabled(false)
+// is the escape hatch (benches and tests compare against the uncached
+// path with it).
 #pragma once
 
 #include <memory>

@@ -1,12 +1,15 @@
-// Engine request/response round-trips, the JSON layer, the structured
-// error taxonomy, and the JSONL batch dispatch.
+// Engine requests and responses, the JSON layer, the structured error
+// taxonomy, the op table, and the JSONL batch dispatch.
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
 #include "api/batch.hpp"
 #include "api/engine.hpp"
+#include "api/ops.hpp"
 #include "api/requests.hpp"
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
@@ -308,43 +311,148 @@ TEST(Engine, StatsOffOmitsBlockEntirely) {
             std::string::npos);
 }
 
-TEST(RequestJson, PlanRoundTrip) {
-  api::PlanRequest request;
-  request.device = "xc6vlx75t";
-  request.source.prm = "mips";
-  request.objective = SearchObjective::kMinBitstream;
-  request.shaped = true;
-  request.cross_check = false;
-  const Json wire = api::to_json(request);
-  const api::PlanRequest parsed =
-      api::plan_request_from_json(Json::parse(wire.dump()));
-  EXPECT_EQ(parsed.device, request.device);
-  EXPECT_EQ(parsed.source.prm, request.source.prm);
-  EXPECT_EQ(parsed.objective, request.objective);
-  EXPECT_EQ(parsed.shaped, request.shaped);
-  EXPECT_EQ(parsed.cross_check, request.cross_check);
+// Every request member read from literal JSON, each set to a value other
+// than its default, so a member the reader drops or misnames fails here.
+
+TEST(RequestJson, SynthFromJson) {
+  const api::SynthRequest request = api::synth_request_from_json(Json::parse(
+      R"({"op":"synth","prm":"mips","netlist":"a.net","report":"a.srp",)"
+      R"("family":"v6"})"));
+  EXPECT_EQ(request.source.prm, "mips");
+  EXPECT_EQ(request.source.netlist_path, "a.net");
+  EXPECT_EQ(request.source.report_path, "a.srp");
+  EXPECT_EQ(request.family, Family::kVirtex6);
 }
 
-TEST(RequestJson, ExploreAndRankRoundTrip) {
-  api::ExploreRequest explore_request;
-  explore_request.device = "xc6vlx240t";
-  explore_request.prms = {"fir", "uart", "crc32"};
-  explore_request.workers = 4;
-  explore_request.max_groups = 2;
-  const api::ExploreRequest explore_parsed = api::explore_request_from_json(
-      Json::parse(api::to_json(explore_request).dump()));
-  EXPECT_EQ(explore_parsed.device, explore_request.device);
-  EXPECT_EQ(explore_parsed.prms, explore_request.prms);
-  EXPECT_EQ(explore_parsed.workers, explore_request.workers);
-  EXPECT_EQ(explore_parsed.max_groups, explore_request.max_groups);
+TEST(RequestJson, PlanFromJson) {
+  const api::PlanRequest request = api::plan_request_from_json(Json::parse(
+      R"({"op":"plan","device":"xc6vlx75t","prm":"mips",)"
+      R"("objective":"bitstream","shaped":true,"cross_check":false})"));
+  EXPECT_EQ(request.device, "xc6vlx75t");
+  EXPECT_EQ(request.source.prm, "mips");
+  EXPECT_TRUE(request.source.netlist_path.empty());
+  EXPECT_TRUE(request.source.report_path.empty());
+  EXPECT_EQ(request.objective, SearchObjective::kMinBitstream);
+  EXPECT_TRUE(request.shaped);
+  EXPECT_FALSE(request.cross_check);
+  const Json height = Json::parse(R"({"objective":"height"})");
+  EXPECT_EQ(api::plan_request_from_json(height).objective,
+            SearchObjective::kFirstFeasible);
+}
 
-  api::RankRequest rank_request;
-  rank_request.prms = {"fir"};
-  rank_request.tasks = 7;
-  const api::RankRequest rank_parsed = api::rank_request_from_json(
-      Json::parse(api::to_json(rank_request).dump()));
-  EXPECT_EQ(rank_parsed.prms, rank_request.prms);
-  EXPECT_EQ(rank_parsed.tasks, rank_request.tasks);
+TEST(RequestJson, BitstreamFromJson) {
+  const api::BitstreamRequest request =
+      api::bitstream_request_from_json(Json::parse(
+          R"({"op":"bitstream","device":"xc5vlx110t","report":"r.srp"})"));
+  EXPECT_EQ(request.device, "xc5vlx110t");
+  EXPECT_TRUE(request.source.prm.empty());
+  EXPECT_EQ(request.source.report_path, "r.srp");
+}
+
+TEST(RequestJson, ExploreAndRankFromJson) {
+  const api::ExploreRequest explore = api::explore_request_from_json(
+      Json::parse(R"({"op":"explore","device":"xc6vlx240t",)"
+                  R"("prms":["fir","uart","crc32"],"workers":4,)"
+                  R"("max_groups":2,"tasks":7,"seed":9,"cross_check":true})"));
+  EXPECT_EQ(explore.device, "xc6vlx240t");
+  EXPECT_EQ(explore.prms, (std::vector<std::string>{"fir", "uart", "crc32"}));
+  EXPECT_EQ(explore.workers, 4u);
+  EXPECT_EQ(explore.max_groups, 2u);
+  EXPECT_EQ(explore.tasks, 7u);
+  EXPECT_EQ(explore.seed, 9u);
+  EXPECT_TRUE(explore.cross_check);
+
+  const api::RankRequest rank = api::rank_request_from_json(Json::parse(
+      R"({"op":"rank","prms":["fir"],"workers":3,"tasks":7,"seed":8})"));
+  EXPECT_EQ(rank.prms, std::vector<std::string>{"fir"});
+  EXPECT_EQ(rank.workers, 3u);
+  EXPECT_EQ(rank.tasks, 7u);
+  EXPECT_EQ(rank.seed, 8u);
+}
+
+TEST(RequestJson, FaultsFromJson) {
+  const api::FaultsRequest request = api::faults_request_from_json(
+      Json::parse(R"({"op":"faults","device":"xc5vlx110t",)"
+                  R"("prms":["fir","sdram"],"prr_count":3,"tasks":11,)"
+                  R"("seed":12,"fault_rate":0.25,"stall_rate":0.5,)"
+                  R"("fault_seed":13,"max_retries":4,"media":"flash",)"
+                  R"("recovery":"reschedule","strict":true})"));
+  EXPECT_EQ(request.device, "xc5vlx110t");
+  EXPECT_EQ(request.prms, (std::vector<std::string>{"fir", "sdram"}));
+  EXPECT_EQ(request.prr_count, 3u);
+  EXPECT_EQ(request.tasks, 11u);
+  EXPECT_EQ(request.seed, 12u);
+  EXPECT_EQ(request.fault_rate, 0.25);
+  EXPECT_EQ(request.stall_rate, 0.5);
+  EXPECT_EQ(request.fault_seed, 13u);
+  EXPECT_EQ(request.max_retries, 4u);
+  EXPECT_EQ(request.media, "flash");
+  EXPECT_EQ(request.recovery, "reschedule");
+  EXPECT_TRUE(request.strict);
+}
+
+TEST(RequestJson, OptimizeFromJson) {
+  const api::OptimizeRequest request = api::optimize_request_from_json(
+      Json::parse(R"({"op":"optimize","device":"xc6vlx240t",)"
+                  R"("prms":["fir","uart"],"prm_count":5,"groups":2,)"
+                  R"("seed":6,"rounds":7,"proposals_per_round":3,)"
+                  R"("media":"cf","fault_rate":0.125,"max_retries":1,)"
+                  R"("workers":2})"));
+  EXPECT_EQ(request.device, "xc6vlx240t");
+  EXPECT_EQ(request.prms, (std::vector<std::string>{"fir", "uart"}));
+  EXPECT_EQ(request.prm_count, 5u);
+  EXPECT_EQ(request.groups, 2u);
+  EXPECT_EQ(request.seed, 6u);
+  EXPECT_EQ(request.rounds, 7u);
+  EXPECT_EQ(request.proposals_per_round, 3u);
+  EXPECT_EQ(request.media, "cf");
+  EXPECT_EQ(request.fault_rate, 0.125);
+  EXPECT_EQ(request.max_retries, 1u);
+  EXPECT_EQ(request.workers, 2u);
+}
+
+TEST(RequestJson, ScheduleFromJson) {
+  const api::ScheduleRequest request = api::schedule_request_from_json(
+      Json::parse(R"({"op":"schedule","device":"xc6vlx240t",)"
+                  R"("prms":["fir"],"slots":3,"policy":"edf",)"
+                  R"("workload":"trace","trace":"t","tasks":9,"seed":10,)"
+                  R"("mean_interarrival_s":0.25,"mean_exec_s":0.5,)"
+                  R"("deadline_factor":1.5,"media":"cf","warm_media":"bram",)"
+                  R"("prefetch_rate_hz":40,"fault_rate":0.0625,)"
+                  R"("max_retries":5,"cpu_workers":4,"cpu_slowdown":3,)"
+                  R"("detail":true})"));
+  EXPECT_EQ(request.device, "xc6vlx240t");
+  EXPECT_EQ(request.prms, std::vector<std::string>{"fir"});
+  EXPECT_EQ(request.slots, 3u);
+  EXPECT_EQ(request.policy, "edf");
+  EXPECT_EQ(request.workload, "trace");
+  EXPECT_EQ(request.trace, "t");
+  EXPECT_EQ(request.tasks, 9u);
+  EXPECT_EQ(request.seed, 10u);
+  EXPECT_EQ(request.mean_interarrival_s, 0.25);
+  EXPECT_EQ(request.mean_exec_s, 0.5);
+  EXPECT_EQ(request.deadline_factor, 1.5);
+  EXPECT_EQ(request.media, "cf");
+  EXPECT_EQ(request.warm_media, "bram");
+  EXPECT_EQ(request.prefetch_rate_hz, 40.0);
+  EXPECT_EQ(request.fault_rate, 0.0625);
+  EXPECT_EQ(request.max_retries, 5u);
+  EXPECT_EQ(request.cpu_workers, 4u);
+  EXPECT_EQ(request.cpu_slowdown, 3.0);
+  EXPECT_TRUE(request.detail);
+}
+
+TEST(RequestJson, AbsentMembersKeepStructDefaults) {
+  const Json empty = Json::object();
+  const api::FaultsRequest faults = api::faults_request_from_json(empty);
+  EXPECT_EQ(faults.prr_count, api::FaultsRequest{}.prr_count);
+  EXPECT_EQ(faults.tasks, api::FaultsRequest{}.tasks);
+  EXPECT_FALSE(faults.fault_rate.has_value());
+  EXPECT_FALSE(faults.max_retries.has_value());
+  const api::ScheduleRequest schedule = api::schedule_request_from_json(empty);
+  EXPECT_EQ(schedule.policy, api::ScheduleRequest{}.policy);
+  EXPECT_EQ(schedule.cpu_slowdown, api::ScheduleRequest{}.cpu_slowdown);
+  EXPECT_EQ(api::synth_request_from_json(empty).family, Family::kVirtex5);
 }
 
 TEST(RequestJson, DefaultsApply) {
@@ -403,6 +511,40 @@ TEST(Batch, DispatchEnvelopes) {
   EXPECT_EQ(error_code("{\"op\":\"plan\",\"device\":\"v5lx110t\","
                        "\"report\":\"/no/such/file\"}"),
             "io");
+}
+
+TEST(Batch, UnknownOpListsEveryOp) {
+  const Engine engine;
+  const Json envelope = api::dispatch_line(engine, R"({"op":"nope"})");
+  const Json* error = envelope.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->find("code")->as_string(), "not_found");
+  EXPECT_EQ(error->find("message")->as_string(),
+            "unknown op 'nope' (known: devices synth plan bitstream explore "
+            "rank faults optimize schedule ping metrics)");
+}
+
+TEST(OpTable, EveryOpDispatchesUnderItsOwnName) {
+  const Engine engine;
+  std::set<std::string_view> names;
+  for (const api::Op& op : api::ops()) {
+    EXPECT_TRUE(names.insert(op.name).second) << op.name;
+    EXPECT_EQ(api::find_op(op.name), &op);
+    // A request with only "op" reaches the op: it answers, or fails with
+    // the op's own usage/not-found error, never "unknown op".
+    const Json envelope = api::dispatch_request(
+        engine, Json::parse("{\"op\":\"" + std::string{op.name} + "\"}"));
+    if (const Json* error = envelope.find("error")) {
+      EXPECT_EQ(error->find("message")->as_string().find("unknown op"),
+                std::string::npos)
+          << op.name;
+    }
+  }
+  EXPECT_EQ(api::find_op("nope"), nullptr);
+  // The CLI offers every op but the serve-only probes.
+  EXPECT_EQ(api::find_op("ping")->render, nullptr);
+  EXPECT_EQ(api::find_op("metrics")->render, nullptr);
+  EXPECT_NE(api::find_op("schedule")->render, nullptr);
 }
 
 TEST(Batch, OneResponsePerLineInInputOrder) {

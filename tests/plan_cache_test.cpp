@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine.hpp"
+#include "bitstream/bitstream_cache.hpp"
 #include "cost/floorplan.hpp"
 #include "cost/plan_cache.hpp"
 #include "cost/prr_search.hpp"
@@ -251,6 +253,18 @@ TEST_F(PlanCacheTest, DisabledFlagBypassesCache) {
   (void)find_prr(req_for(make_fir(), fabric), fabric);
   EXPECT_EQ(plan_cache_stats().hits + plan_cache_stats().misses, lookups);
   EXPECT_EQ(plan_cache_stats().entries, 0u);
+}
+
+// Constructing an Engine must not touch the process-wide cache switches:
+// a caller that turned a cache off keeps it off.
+TEST_F(PlanCacheTest, EngineConstructionKeepsCacheSwitches) {
+  const bool bitstream_was_enabled = bitstream_cache_enabled();
+  set_plan_cache_enabled(false);
+  set_bitstream_cache_enabled(false);
+  const api::Engine engine;
+  EXPECT_FALSE(plan_cache_enabled());
+  EXPECT_FALSE(bitstream_cache_enabled());
+  set_bitstream_cache_enabled(bitstream_was_enabled);
 }
 
 }  // namespace

@@ -1,22 +1,17 @@
-// prcost command-line tool: thin adapters over the library Engine API
-// (src/api). Each subcommand maps flags onto a typed request, calls the
-// Engine, and renders the typed response; the same requests drive the
-// JSONL `batch` front-end and any embedding consumer, so no evaluation
-// logic lives here.
-//
-//   prcost devices
-//   prcost synth <prm> [--family v5] [-o report.srp]
-//   prcost plan <prm> --device xc5vlx110t [--report file.srp]
-//                [--objective area|height|bitstream] [--shaped]
-//   prcost bitstream <prm> --device xc5vlx110t [-o out.bit]
-//   prcost explore --device xc6vlx240t <prm> <prm> ...
-//   prcost batch [requests.jsonl]
+// prcost command-line tool. Every op command is a row of the op table
+// (src/api/ops.hpp): argv becomes a request Json through the row's flag
+// spec, runs the same request-from-JSON -> Engine path that `batch` and
+// `serve` dispatch, and prints with the row's text renderer. Only
+// netlist, batch, serve and client are commands of their own here, so no
+// evaluation logic lives in this file. print_usage lists every command
+// and flag.
 //
 // Exit codes: 0 success, 1 runtime failure (unknown device/PRM, missing
 // file, infeasible PRR...), 2 usage error (only usage errors print the
 // usage banner).
 //
-// PRMs: fir mips sdram aes crc32 uart matmul
+// PRMs: the built-in catalog, api::builtin_prm_names() (fir mips sdram aes
+// crc32 uart matmul sobel fft).
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -26,12 +21,10 @@
 
 #include "api/batch.hpp"
 #include "api/engine.hpp"
+#include "api/ops.hpp"
 #include "api/requests.hpp"
-#include "bitstream/generator.hpp"
-#include "bitstream/parser.hpp"
 #include "netlist/serialize.hpp"
 #include "obs/obs.hpp"
-#include "sched/generators.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
@@ -115,10 +108,6 @@ void print_usage(std::ostream& out) {
       "                      (FILE '-' sends any of these to stderr,\n"
       "                       keeping stdout results intact)\n"
       "  --log-level LVL     debug|info|warn|error|off (default warn)\n"
-      "  --no-plan-cache     disable PRR plan memoization (escape hatch;\n"
-      "                      results are identical either way)\n"
-      "  --no-bitstream-cache  disable generated-bitstream memoization\n"
-      "                      (escape hatch; output is byte-identical)\n"
       "  --cache-dir DIR     persist the plan/bitstream caches as warm-\n"
       "                      start snapshots in DIR (loaded on startup,\n"
       "                      saved on success; missing or corrupt\n"
@@ -126,7 +115,9 @@ void print_usage(std::ostream& out) {
       "                      byte-identical either way)\n"
       "  --workers N         parallel workers for explore/rank/batch\n"
       "                      (0 = auto)\n"
-      "prms: fir mips sdram aes crc32 uart matmul sobel fft\n"
+      "prms:";
+  for (const std::string& prm : api::builtin_prm_names()) out << ' ' << prm;
+  out << "\n"
       "netlist files: prcost netlist <prm> -o design.net; "
       "then --netlist design.net\n"
       "exit codes: 0 ok, 1 runtime failure, 2 usage error\n";
@@ -143,6 +134,18 @@ struct Args {
   }
 };
 
+/// A flag that takes no value: --stats, or a kBool flag of any op (for
+/// every command, as a value-taking parse would swallow the next token).
+bool is_switch(const std::string& key) {
+  if (key == "stats") return true;
+  for (const api::Op& op : api::ops()) {
+    for (const api::CliFlag& flag : op.flags) {
+      if (flag.kind == api::FlagKind::kBool && flag.flag == key) return true;
+    }
+  }
+  return false;
+}
+
 Args parse_args(int argc, char** argv, int first) {
   Args args;
   for (int i = first; i < argc; ++i) {
@@ -150,9 +153,7 @@ Args parse_args(int argc, char** argv, int first) {
     if (token.rfind("--", 0) == 0 || token == "-o") {
       const std::string key = token.rfind("--", 0) == 0 ? token.substr(2)
                                                         : "out";
-      if (key == "shaped" || key == "no-plan-cache" ||
-          key == "no-bitstream-cache" || key == "cross-check" ||
-          key == "strict" || key == "stats") {  // booleans
+      if (is_switch(key)) {
         args.flags[key] = "1";
         continue;
       }
@@ -163,17 +164,6 @@ Args parse_args(int argc, char** argv, int first) {
     }
   }
   return args;
-}
-
-/// Parse the --workers flag (0 = auto). Malformed values surface the
-/// actual parse error, not a generic usage message.
-std::size_t workers_flag(const Args& args) {
-  const std::string value = args.get("workers", "0");
-  try {
-    return narrow<std::size_t>(parse_u64(value));
-  } catch (const std::exception& error) {
-    throw UsageError{"--workers: " + std::string{error.what()}};
-  }
 }
 
 /// Parse an unsigned flag; malformed values surface the parse error under
@@ -197,393 +187,64 @@ double double_flag(const Args& args, const std::string& key, double fallback) {
   }
 }
 
-/// Map the shared PRM-source flags onto a typed PrmSource (the Engine
-/// validates that exactly one is set).
-api::PrmSource prm_source(const Args& args) {
-  api::PrmSource source;
-  if (args.has("netlist")) {
-    source.netlist_path = args.get("netlist", "");
-  } else if (args.has("report")) {
-    source.report_path = args.get("report", "");
-  } else if (!args.positional.empty()) {
-    source.prm = args.positional[0];
-  }
-  return source;
-}
-
-/// Render the optional --stats block of a response on stdout (after the
-/// command's own output; no-op when stats collection is off).
-void print_request_stats(const std::optional<obs::RequestStatsSummary>& s) {
-  if (!s) return;
-  const auto ms = [](u64 ns) {
-    return format_fixed(static_cast<double>(ns) / 1e6, 3);
-  };
-  std::cout << "\n=== request stats ===\n"
-            << "wall " << ms(s->wall_ns) << " ms, plan cache "
-            << s->plan_cache_hits << "/" << s->plan_cache_misses
-            << " hit/miss, bitstream cache " << s->bitstream_cache_hits << "/"
-            << s->bitstream_cache_misses << " hit/miss, retries "
-            << s->retries << ", allocations " << s->allocations << '\n';
-  if (s->phases.empty()) return;
-  TextTable table{{"phase", "count", "self (ms)", "total (ms)", "max (ms)"}};
-  for (const obs::RequestPhase& phase : s->phases) {
-    table.add_row({phase.name, std::to_string(phase.count), ms(phase.self_ns),
-                   ms(phase.total_ns), ms(phase.max_ns)});
-  }
-  std::cout << table.to_ascii();
-}
-
-int cmd_devices(const Engine& engine) {
-  TextTable table{{"device", "family", "rows", "CLB cols", "DSP cols",
-                   "BRAM cols", "CLBs", "DSPs", "BRAM36s"}};
-  const api::DevicesResponse response = engine.list_devices();
-  for (const api::DeviceSummary& dev : response.devices) {
-    table.add_row({dev.name, dev.family, std::to_string(dev.rows),
-                   std::to_string(dev.clb_cols), std::to_string(dev.dsp_cols),
-                   std::to_string(dev.bram_cols), std::to_string(dev.clbs),
-                   std::to_string(dev.dsps), std::to_string(dev.bram36s)});
-  }
-  std::cout << table.to_ascii();
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_synth(const Engine& engine, const Args& args) {
-  if (args.positional.empty()) throw UsageError{"synth needs a PRM"};
-  api::SynthRequest request;
-  request.source.prm = args.positional[0];
-  request.family = parse_family(args.get("family", "v5"));
-  const api::SynthResponse response = engine.synth(request);
-  const std::string text = report_to_text(response.report);
-  if (args.has("out")) {
-    std::ofstream out{args.get("out", "")};
-    out << text;
-    std::cout << "wrote " << args.get("out", "") << '\n';
-  } else {
-    std::cout << text;
-  }
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_plan(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"plan needs --device"};
-  api::PlanRequest request;
-  request.device = args.get("device", "");
-  request.source = prm_source(args);
-  request.objective = api::parse_objective(args.get("objective", "area"));
-  request.shaped = args.has("shaped");
-
-  api::PlanResponse response;
-  try {
-    response = engine.plan(request);
-  } catch (const InfeasibleError& error) {
-    std::cout << error.what() << '\n';
-    return 1;
-  }
-  const PrrPlan& plan = response.plan;
-
-  TextTable table{{"quantity", "value"}};
-  table.add_row({"H x W", std::to_string(plan.organization.h) + " x " +
-                              std::to_string(plan.organization.width())});
-  table.add_row({"W_CLB / W_DSP / W_BRAM",
-                 std::to_string(plan.organization.columns.clb_cols) + " / " +
-                     std::to_string(plan.organization.columns.dsp_cols) +
-                     " / " +
-                     std::to_string(plan.organization.columns.bram_cols)});
-  table.add_row({"PRR size (cells)", std::to_string(plan.organization.size())});
-  table.add_row({"window first column", std::to_string(plan.window.first_col)});
-  table.add_row({"RU CLB/FF/LUT/DSP/BRAM",
-                 format_fixed(plan.ru.clb, 0) + "% / " +
-                     format_fixed(plan.ru.ff, 0) + "% / " +
-                     format_fixed(plan.ru.lut, 0) + "% / " +
-                     format_fixed(plan.ru.dsp, 0) + "% / " +
-                     format_fixed(plan.ru.bram, 0) + "%"});
-  table.add_row({"partial bitstream",
-                 std::to_string(plan.bitstream.total_bytes) + " bytes"});
-
-  if (response.par) {
-    const api::ParCrossCheck& par = *response.par;
-    if (par.routed) {
-      table.add_row({"PAR placed cells", std::to_string(par.placed_cells)});
-      table.add_row({"PAR HPWL (initial -> final)",
-                     std::to_string(par.hpwl_initial) + " -> " +
-                         std::to_string(par.hpwl_final)});
-      table.add_row({"PAR critical path",
-                     format_fixed(par.critical_path_ns, 2) + " ns"});
-    } else {
-      table.add_row({"PAR", "failed: " + par.failure_reason});
+/// argv -> request Json through the op's flag spec; a value that does not
+/// parse is a usage error naming its flag.
+Json request_from_args(const api::Op& op, const Args& args) {
+  Json request = Json::object();
+  bool has_source = false;
+  for (const api::CliFlag& spec : op.flags) {
+    const std::string flag{spec.flag};
+    if (!args.has(flag)) continue;
+    const std::string key{spec.key};
+    const std::string value = args.get(flag, "");
+    switch (spec.kind) {
+      case api::FlagKind::kString:
+        request.set(key, value);
+        break;
+      case api::FlagKind::kU64:
+        request.set(key, u64_flag(args, flag, 0));
+        break;
+      case api::FlagKind::kDouble:
+        request.set(key, double_flag(args, flag, 0));
+        break;
+      case api::FlagKind::kBool:
+        request.set(key, true);
+        break;
+      case api::FlagKind::kFileText: {
+        std::ifstream in{value};
+        if (!in) throw IoError{"cannot open " + flag + " file '" + value + "'"};
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        request.set(key, buffer.str());
+        break;
+      }
+      case api::FlagKind::kPrmSource:
+        // --netlist beats --report (spec order) beats a positional PRM.
+        if (!has_source) request.set(key, value);
+        has_source = true;
+        break;
     }
   }
-  table.add_row({"generated bitstream",
-                 std::to_string(*response.generated_bytes) + " bytes (" +
-                     (response.generated_matches_model()
-                          ? "matches model"
-                          : "MODEL MISMATCH") +
-                     ")"});
-  std::cout << table.to_ascii();
+  if (op.positionals == api::Positionals::kPrm && !has_source &&
+      !args.positional.empty()) {
+    request.set("prm", args.positional[0]);
+  } else if (op.positionals == api::Positionals::kPrms) {
+    Json prms = Json::array();
+    for (const std::string& prm : args.positional) prms.push_back(prm);
+    request.set("prms", std::move(prms));
+  }
+  return request;
+}
 
-  if (response.shaped) {
-    if (response.shaped->beats_rectangle) {
-      std::cout << "\nL-shaped alternative: " << response.shaped->cells
-                << " cells, " << response.shaped->bitstream_bytes
-                << " bytes (saves " << response.shaped->cells_saved
-                << " cells)\n";
-    } else {
-      std::cout << "\nno L-shaped alternative beats the rectangle\n";
+/// Run an op command: check --device, build the request, and print the
+/// Engine's answer with the op's renderer.
+int run_op(const Engine& engine, const api::Op& op, const Args& args) {
+  for (const api::CliFlag& spec : op.flags) {
+    if (spec.key == "device" && !args.has("device")) {
+      throw UsageError{std::string{op.name} + " needs --device"};
     }
   }
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_bitstream(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"bitstream needs --device"};
-  api::BitstreamRequest request;
-  request.device = args.get("device", "");
-  request.source = prm_source(args);
-
-  api::BitstreamResponse response;
-  try {
-    response = engine.bitstream(request);
-  } catch (const InfeasibleError& error) {
-    std::cout << error.what() << '\n';
-    return 1;
-  }
-  std::cout << disassemble(*response.words, response.family);
-  if (args.has("out")) {
-    const auto bytes = to_bytes(*response.words, response.family);
-    std::ofstream out{args.get("out", ""), std::ios::binary};
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    std::cout << "wrote " << bytes.size() << " bytes to "
-              << args.get("out", "") << '\n';
-  }
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_rank(const Engine& engine, const Args& args) {
-  if (args.positional.empty()) throw UsageError{"rank needs at least one PRM"};
-  api::RankRequest request;
-  request.prms = args.positional;
-  request.workers = workers_flag(args);
-  const api::RankResponse response = engine.rank(request);
-
-  TextTable table{{"rank", "device", "feasible", "fabric used",
-                   "bitstream total", "makespan (ms)"}};
-  int rank = 1;
-  for (const DeviceChoice& choice : response.choices) {
-    table.add_row({std::to_string(rank++), choice.device,
-                   choice.feasible ? "yes" : choice.reason,
-                   choice.feasible
-                       ? format_fixed(choice.fabric_fraction * 100, 1) + "%"
-                       : "-",
-                   choice.feasible
-                       ? format_bytes(static_cast<double>(
-                             choice.total_bitstream_bytes))
-                       : "-",
-                   choice.feasible
-                       ? format_fixed(choice.makespan_s * 1e3, 2)
-                       : "-"});
-  }
-  std::cout << table.to_ascii();
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_faults(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"faults needs --device"};
-  if (args.positional.empty()) {
-    throw UsageError{"faults needs at least one PRM"};
-  }
-  api::FaultsRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.prr_count = narrow<u32>(u64_flag(args, "prrs", 2));
-  request.tasks = narrow<u32>(u64_flag(args, "tasks", 100));
-  request.seed = u64_flag(args, "seed", 42);
-  request.media = args.get("media", "ddr");
-  request.recovery = args.get("recovery", "drop");
-  request.strict = args.has("strict");
-  // The fault environment itself (--fault-rate, --fault-seed,
-  // --max-retries) is global and already folded into the engine defaults;
-  // the request optionals stay unset so those defaults apply.
-  const api::FaultsResponse response = engine.faults(request);
-
-  TextTable table{{"quantity", "value"}};
-  table.add_row({"fault rate", format_fixed(response.fault_rate, 4)});
-  table.add_row({"fault seed", std::to_string(response.fault_seed)});
-  table.add_row({"max retries", std::to_string(response.max_retries)});
-  table.add_row({"makespan", format_fixed(response.makespan_s * 1e3, 2) +
-                                 " ms"});
-  table.add_row({"reconfigurations", std::to_string(response.reconfig_count)});
-  table.add_row({"effective reconfig time",
-                 format_fixed(response.effective_reconfig_s * 1e3, 3) +
-                     " ms"});
-  table.add_row({"retry attempts", std::to_string(response.retry_attempts)});
-  table.add_row({"retry backoff",
-                 format_fixed(response.total_retry_backoff_s * 1e3, 3) +
-                     " ms"});
-  table.add_row({"wasted ICAP time",
-                 format_fixed(response.total_fault_wasted_s * 1e3, 3) +
-                     " ms"});
-  table.add_row({"injected faults / stalls",
-                 std::to_string(response.injected_faults) + " / " +
-                     std::to_string(response.injected_stalls)});
-  table.add_row({"failed reconfigs",
-                 std::to_string(response.failed_reconfigs)});
-  table.add_row({"rescheduled tasks",
-                 std::to_string(response.rescheduled_tasks)});
-  table.add_row({"dropped tasks", std::to_string(response.dropped_tasks)});
-  table.add_row({"drop penalty",
-                 format_fixed(response.total_penalty_s * 1e3, 3) + " ms"});
-  std::cout << table.to_ascii();
-  print_request_stats(response.stats);
-  return 0;
-}
-
-int cmd_optimize(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"optimize needs --device"};
-  api::OptimizeRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.prm_count = narrow<u32>(u64_flag(args, "prm-count", 0));
-  if (request.prms.empty() && request.prm_count == 0) {
-    throw UsageError{"optimize needs PRMs or --prm-count N"};
-  }
-  request.groups = narrow<u32>(u64_flag(args, "groups", 0));
-  request.seed = u64_flag(args, "seed", 1);
-  request.rounds = narrow<u32>(u64_flag(args, "rounds", 48));
-  request.proposals_per_round = narrow<u32>(u64_flag(args, "proposals", 8));
-  request.media = args.get("media", "ddr");
-  request.workers = workers_flag(args);
-  const api::OptimizeResponse response = engine.optimize(request);
-
-  const auto pct = [](double x) { return format_fixed(x * 100.0, 1) + "%"; };
-  TextTable table{{"quantity", "greedy", "annealed"}};
-  table.add_row({"placed PRRs",
-                 std::to_string(response.greedy_placed_groups) + " / " +
-                     std::to_string(response.group_count),
-                 std::to_string(response.anneal_placed_groups) + " / " +
-                     std::to_string(response.group_count)});
-  table.add_row({"rejected PRMs",
-                 std::to_string(response.greedy_rejected_prms),
-                 std::to_string(response.anneal_rejected_prms)});
-  table.add_row({"rejection rate", pct(response.greedy_rejection_rate),
-                 pct(response.anneal_rejection_rate)});
-  table.add_row({"makespan",
-                 format_fixed(response.greedy_makespan_s * 1e3, 2) + " ms",
-                 format_fixed(response.anneal_makespan_s * 1e3, 2) + " ms"});
-  table.add_row({"fragmentation", pct(response.greedy_fragmentation),
-                 pct(response.anneal_fragmentation)});
-  table.add_row({"cost", format_fixed(response.greedy_cost, 3),
-                 format_fixed(response.anneal_cost, 3)});
-  std::cout << table.to_ascii();
-  std::cout << "fleet: " << response.prm_count << " PRMs in "
-            << response.group_count << " shared PRRs (seed " << response.seed
-            << ")\n"
-            << "moves: " << response.accepted << " accepted of "
-            << response.proposals << " proposed (swap "
-            << response.accepted_swap << ", relocate "
-            << response.accepted_relocate << ", resize "
-            << response.accepted_resize << ", compact "
-            << response.accepted_compact << "), relocation ICAP time "
-            << format_fixed(response.anneal_relocation_s * 1e3, 3) << " ms\n"
-            << "cost re-evaluation: "
-            << (response.cost_verified ? "matches" : "MISMATCH")
-            << ", bitstream model: "
-            << (response.bitstream_verified ? "matches generated"
-                                            : "MISMATCH")
-            << '\n';
-  print_request_stats(response.stats);
-  return response.cost_verified && response.bitstream_verified ? 0 : 1;
-}
-
-int cmd_schedule(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"schedule needs --device"};
-  if (args.positional.empty()) {
-    throw UsageError{"schedule needs at least one PRM"};
-  }
-  api::ScheduleRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.slots = narrow<u32>(u64_flag(args, "slots", 2));
-  request.policy = args.get("policy", "fcfs");
-  request.workload = args.get("workload", "poisson");
-  if (args.has("trace")) {
-    const std::string path = args.get("trace", "");
-    std::ifstream in{path};
-    if (!in) throw IoError{"cannot open trace file '" + path + "'"};
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    request.trace = buffer.str();
-    request.workload = "trace";
-  }
-  request.tasks = narrow<u32>(u64_flag(args, "tasks", 100));
-  request.seed = u64_flag(args, "seed", 42);
-  request.mean_interarrival_s = double_flag(args, "interarrival", 2.0e-3);
-  request.mean_exec_s = double_flag(args, "exec", 5.0e-3);
-  request.deadline_factor = double_flag(args, "deadline-factor", 0.0);
-  request.media = args.get("media", "flash");
-  request.warm_media = args.get("warm-media", "ddr");
-  request.prefetch_rate_hz = double_flag(args, "prefetch-rate", 0.0);
-  request.cpu_workers = narrow<u32>(u64_flag(args, "cpu-workers", 2));
-  request.cpu_slowdown = double_flag(args, "cpu-slowdown", 8.0);
-  // The fault environment (--fault-rate, --max-retries) is global and
-  // already folded into the engine defaults; the optionals stay unset.
-
-  if (args.has("dump-trace")) {
-    // Record the arrival stream (before running it) as a replayable JSONL
-    // trace: generate the same synthetic workload the run will use.
-    sched::ArrivalParams params;
-    params.count = request.tasks;
-    params.prm_count = narrow<u32>(request.prms.size());
-    params.mean_interarrival_s = request.mean_interarrival_s;
-    params.mean_exec_s = request.mean_exec_s;
-    params.deadline_factor = request.deadline_factor;
-    params.seed = request.seed;
-    const std::vector<sched::Task> tasks =
-        request.workload == "trace"    ? sched::parse_trace(request.trace)
-        : request.workload == "bursty" ? sched::make_bursty(params)
-                                       : sched::make_poisson(params);
-    const std::string path = args.get("dump-trace", "");
-    std::ofstream out{path};
-    if (!out) throw IoError{"cannot write trace file '" + path + "'"};
-    out << sched::dump_trace(tasks);
-    std::cout << "wrote " << tasks.size() << " tasks to " << path << '\n';
-  }
-
-  const api::ScheduleResponse response = engine.schedule(request);
-
-  TextTable table{{"quantity", "value"}};
-  table.add_row({"policy", response.policy});
-  table.add_row({"PRR slots", std::to_string(response.slot_count)});
-  table.add_row({"tasks", std::to_string(response.task_count)});
-  table.add_row({"makespan", format_fixed(response.makespan_s * 1e3, 2) +
-                                 " ms"});
-  table.add_row({"throughput",
-                 format_fixed(response.throughput_per_s, 1) + " tasks/s"});
-  table.add_row({"reconfigurations",
-                 std::to_string(response.reconfig_count)});
-  table.add_row({"slot reuse hits", std::to_string(response.reuse_hits)});
-  table.add_row({"reconfig time / task",
-                 format_fixed(response.reconfig_seconds_per_task * 1e3, 3) +
-                     " ms"});
-  table.add_row({"prefetches issued",
-                 std::to_string(response.prefetches_issued)});
-  table.add_row({"warm (prefetched) reconfigs",
-                 std::to_string(response.prefetched_reconfigs)});
-  table.add_row({"deadline misses",
-                 std::to_string(response.deadline_misses)});
-  table.add_row({"CPU fallbacks", std::to_string(response.cpu_fallbacks)});
-  table.add_row({"mean wait",
-                 format_fixed(response.mean_wait_s * 1e3, 3) + " ms"});
-  table.add_row({"mean turnaround",
-                 format_fixed(response.mean_turnaround_s * 1e3, 3) + " ms"});
-  std::cout << table.to_ascii();
-  print_request_stats(response.stats);
-  return 0;
+  return op.render(engine, request_from_args(op, args), std::cout);
 }
 
 int cmd_netlist(const Args& args) {
@@ -600,53 +261,9 @@ int cmd_netlist(const Args& args) {
   return 0;
 }
 
-int cmd_explore(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"explore needs --device"};
-  if (args.positional.size() < 2) {
-    throw UsageError{"explore needs at least two PRMs"};
-  }
-  api::ExploreRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.workers = workers_flag(args);
-  request.cross_check = args.has("cross-check");
-  const api::ExploreResponse response = engine.explore(request);
-
-  TextTable table{{"partitioning", "area", "makespan (ms)", "feasible"}};
-  for (const DesignPoint& point : response.points) {
-    std::string partition;
-    for (const auto& group : point.partition) {
-      partition += "{";
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        if (i) partition += ",";
-        partition += response.prms[group[i]];
-      }
-      partition += "}";
-    }
-    table.add_row({partition, std::to_string(point.total_prr_area),
-                   point.feasible ? format_fixed(point.makespan_s * 1e3, 2)
-                                  : "-",
-                   point.feasible ? "yes" : point.infeasible_reason});
-  }
-  std::cout << table.to_ascii();
-  std::cout << "pareto-optimal: " << response.pareto_count << " of "
-            << response.points.size() << " partitionings\n";
-  if (response.bitstream_check) {
-    std::cout << "bitstream cross-check: "
-              << response.bitstream_check->plans_checked
-              << " distinct PRR plans generated, "
-              << (response.bitstream_check->all_match ? "all match the model"
-                                                      : "MODEL MISMATCH")
-              << "\n";
-    if (!response.bitstream_check->all_match) return 1;
-  }
-  print_request_stats(response.stats);
-  return 0;
-}
-
 int cmd_batch(const Engine& engine, const Args& args) {
   api::BatchOptions options;
-  options.workers = workers_flag(args);
+  options.workers = narrow<std::size_t>(u64_flag(args, "workers", 0));
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -688,7 +305,7 @@ int cmd_serve(const Engine& engine, const Args& args) {
       u64_flag(args, "max-inflight", options.max_inflight_per_conn));
   options.dispatch_batch = narrow<std::size_t>(
       u64_flag(args, "dispatch-batch", options.dispatch_batch));
-  options.workers = workers_flag(args);
+  options.workers = narrow<std::size_t>(u64_flag(args, "workers", 0));
   options.drain_grace_ms = narrow<int>(
       u64_flag(args, "drain-grace-ms",
                static_cast<u64>(options.drain_grace_ms)));
@@ -871,8 +488,6 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv, 2);
     const ObsOptions obs_options = configure_obs(args);
     Engine::Options engine_options;
-    engine_options.plan_cache = !args.has("no-plan-cache");
-    engine_options.bitstream_cache = !args.has("no-bitstream-cache");
     engine_options.fault_rate =
         double_flag(args, "fault-rate", engine_options.fault_rate);
     engine_options.stall_rate =
@@ -885,26 +500,11 @@ int main(int argc, char** argv) {
     engine_options.cache_dir = args.get("cache-dir", "");
     const Engine engine{engine_options};
     int rc = 0;
-    if (command == "devices") {
-      rc = cmd_devices(engine);
-    } else if (command == "synth") {
-      rc = cmd_synth(engine, args);
-    } else if (command == "plan") {
-      rc = cmd_plan(engine, args);
-    } else if (command == "bitstream") {
-      rc = cmd_bitstream(engine, args);
-    } else if (command == "explore") {
-      rc = cmd_explore(engine, args);
+    const api::Op* op = api::find_op(command);
+    if (op != nullptr && op->render != nullptr) {
+      rc = run_op(engine, *op, args);
     } else if (command == "netlist") {
       rc = cmd_netlist(args);
-    } else if (command == "rank") {
-      rc = cmd_rank(engine, args);
-    } else if (command == "faults") {
-      rc = cmd_faults(engine, args);
-    } else if (command == "optimize") {
-      rc = cmd_optimize(engine, args);
-    } else if (command == "schedule") {
-      rc = cmd_schedule(engine, args);
     } else if (command == "batch") {
       rc = cmd_batch(engine, args);
     } else if (command == "serve") {
