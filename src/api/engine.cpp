@@ -12,7 +12,6 @@
 
 #include "api/deadline.hpp"
 #include "bitstream/bitstream_cache.hpp"
-#include "bitstream/generator.hpp"
 #include "cost/floorplan.hpp"
 #include "cost/plan_cache.hpp"
 #include "cost/shaped_prr.hpp"
@@ -107,18 +106,6 @@ PlanInput load_plan_input(const PrmSource& source, Family family,
       synthesize(make_builtin_prm(source.prm), SynthOptions{family});
   PrmRequirements req = PrmRequirements::from_report(result.report);
   return PlanInput{req, std::move(result)};
-}
-
-/// Generate the bitstream for `plan` and return its word count. Served
-/// from the process-wide cache when enabled; otherwise generated into a
-/// thread-local scratch buffer so repeated cross-checks allocate nothing.
-u64 generated_word_count(const PrrPlan& plan, const Device& device) {
-  if (bitstream_cache_enabled()) {
-    return generate_bitstream_cached(plan, device.fabric.family())->size();
-  }
-  thread_local std::vector<u32> scratch;
-  generate_bitstream_into(scratch, plan, device.fabric.family());
-  return scratch.size();
 }
 
 /// Resolve each named built-in PRM for `family` into a PrmInfo table
@@ -232,8 +219,9 @@ PlanResponse Engine::plan(const PlanRequest& request) const {
       check.critical_path_ns = par.placement.critical_path_ns;
       response.par = check;
     }
-    response.generated_bytes = generated_word_count(*plan, device) *
-                               device.fabric.traits().bytes_word;
+    response.generated_bytes =
+        generate_bitstream_cached(*plan, device.fabric.family())->size() *
+        device.fabric.traits().bytes_word;
   }
 
   if (request.shaped) {
@@ -265,15 +253,9 @@ BitstreamResponse Engine::bitstream(const BitstreamRequest& request) const {
   response.device = device.name;
   response.family = device.fabric.family();
   response.plan = *plan;
-  if (bitstream_cache_enabled()) {
-    // Shared view of the cached words: a warm hit is a refcount bump, not
-    // a vector copy.
-    response.words = generate_bitstream_cached(*plan, response.family);
-  } else {
-    auto owned = std::make_shared<std::vector<u32>>();
-    generate_bitstream_into(*owned, *plan, response.family);
-    response.words = std::move(owned);
-  }
+  // Shared view of the cached words: a warm hit is a refcount bump, not a
+  // vector copy.
+  response.words = generate_bitstream_cached(*plan, response.family);
   response.total_bytes = static_cast<u64>(response.words->size()) *
                          device.fabric.traits().bytes_word;
   response.stats = scope.finish();
@@ -592,6 +574,9 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
 
 OptimizeResponse Engine::optimize(const OptimizeRequest& request) const {
   const obs::RequestScope scope{options_.collect_stats};
+  if (request.prms.empty() && request.prm_count == 0) {
+    throw UsageError{"optimize needs PRMs or a prm_count fleet size"};
+  }
   const Device& device = resolve_device(request.device);
 
   opt::OptInstance instance;
@@ -615,11 +600,9 @@ OptimizeResponse Engine::optimize(const OptimizeRequest& request) const {
       task.exec_s = rng.exponential(5.0e-3);
       instance.tasks.push_back(std::move(task));
     }
-  } else if (request.prm_count != 0) {
+  } else {
     instance = opt::make_prm_fleet(device, request.prm_count, request.groups,
                                    request.seed);
-  } else {
-    throw UsageError{"optimize needs PRMs or a prm_count fleet size"};
   }
 
   check_deadline("optimize.fleet");
@@ -670,8 +653,9 @@ OptimizeResponse Engine::optimize(const OptimizeRequest& request) const {
   // bitstream (served through the process-wide bitstream cache).
   response.bitstream_verified = true;
   for (const PlacedPrr& placed : result.placements) {
-    const u64 generated = generated_word_count(placed.plan, device) *
-                          device.fabric.traits().bytes_word;
+    const u64 generated =
+        generate_bitstream_cached(placed.plan, device.fabric.family())->size() *
+        device.fabric.traits().bytes_word;
     if (generated != placed.plan.bitstream.total_bytes) {
       response.bitstream_verified = false;
       break;

@@ -1,21 +1,14 @@
 #include "bitstream/bitstream_cache.hpp"
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <bit>
-#include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/error.hpp"
+#include "util/sharded_cache.hpp"
 #include "util/snapshot.hpp"
 
 namespace prcost {
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 /// Everything generate_bitstream reads: the family (interning the frame
 /// constants), the plan geometry that shapes the bursts, and the payload
@@ -34,168 +27,42 @@ struct Key {
   u32 payload_kind = 0;
   u64 density_bits = 0;  ///< sparse_density, compared bit-exactly
 
-  bool operator==(const Key& other) const {
-    return family == other.family && h == other.h &&
-           clb_cols == other.clb_cols && dsp_cols == other.dsp_cols &&
-           bram_cols == other.bram_cols && first_col == other.first_col &&
-           first_row == other.first_row &&
-           payload_seed == other.payload_seed && idcode == other.idcode &&
-           payload_kind == other.payload_kind &&
-           density_bits == other.density_bits;
-  }
-};
-
-struct KeyHash {
-  std::size_t operator()(const Key& key) const noexcept {
-    // FNV-1a over the key fields (field-wise, not memcmp: Key has padding).
-    u64 h = 14695981039346656037ull;
-    const auto mix = [&h](u64 v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(key.family);
-    mix(key.h);
-    mix(key.clb_cols);
-    mix(key.dsp_cols);
-    mix(key.bram_cols);
-    mix(key.first_col);
-    mix(key.first_row);
-    mix(key.payload_seed);
-    mix(key.idcode);
-    mix(key.payload_kind);
-    mix(key.density_bits);
-    return static_cast<std::size_t>(h);
-  }
+  bool operator==(const Key&) const = default;
 };
 
 using Words = std::shared_ptr<const std::vector<u32>>;
 
-class Cache {
- public:
-  static Cache& instance() {
-    static Cache cache;
-    return cache;
-  }
+struct Traits {
+  // Entries are whole bitstreams, so the default cap is small; the
+  // typical working set is a handful of PRMs per device.
+  static constexpr std::size_t kShards = 8;
+  static constexpr std::size_t kCapacity = 128;
 
-  /// nullptr on miss. Shared entries: callers must not mutate.
-  Words lookup(const Key& key) {
-    Shard& shard = shard_for(key);
-    {
-      const std::scoped_lock lock{shard.mu};
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        PRCOST_COUNT("bitstream_cache.hits");
-        PRCOST_REQUEST_EVENT(kBitstreamCacheHit);
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  static std::size_t hash(const Key& key) noexcept {
+    return fnv1a({key.family, key.h, key.clb_cols, key.dsp_cols,
+                  key.bram_cols, key.first_col, key.first_row,
+                  key.payload_seed, key.idcode, key.payload_kind,
+                  key.density_bits});
+  }
+  static std::size_t weight(const Words& words) noexcept {
+    return words->size();
+  }
+  static void on_hit() {
+    PRCOST_COUNT("bitstream_cache.hits");
+    PRCOST_REQUEST_EVENT(kBitstreamCacheHit);
+  }
+  static void on_miss() {
     PRCOST_COUNT("bitstream_cache.misses");
     PRCOST_REQUEST_EVENT(kBitstreamCacheMiss);
-    return nullptr;
   }
-
-  /// Insert (first writer wins) and return the resident words.
-  Words insert(const Key& key, Words words) {
-    Shard& shard = shard_for(key);
-    const std::size_t shard_cap =
-        std::max<std::size_t>(1, capacity_.load(std::memory_order_relaxed) /
-                                     kShardCount);
-    const std::scoped_lock lock{shard.mu};
-    if (shard.map.size() >= shard_cap &&
-        shard.map.find(key) == shard.map.end()) {
-      // Full: drop an arbitrary resident entry (hash order ~ random). An
-      // overflow valve, not an LRU - the typical working set is a handful
-      // of PRMs per device.
-      const auto victim = shard.map.begin();
-      resident_words_.fetch_sub(victim->second->size(),
-                                std::memory_order_relaxed);
-      shard.map.erase(victim);
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      PRCOST_COUNT("bitstream_cache.evictions");
-    }
-    const auto [it, inserted] = shard.map.try_emplace(key, std::move(words));
-    if (inserted) {
-      PRCOST_GAUGE_SET("bitstream_cache.entries",
-                       entries_.fetch_add(1, std::memory_order_relaxed) + 1);
-      PRCOST_GAUGE_SET(
-          "bitstream_cache.resident_words",
-          resident_words_.fetch_add(it->second->size(),
-                                    std::memory_order_relaxed) +
-              it->second->size());
-    }
-    return it->second;
+  static void on_evict() { PRCOST_COUNT("bitstream_cache.evictions"); }
+  static void on_resident(std::size_t entries, std::size_t words) {
+    PRCOST_GAUGE_SET("bitstream_cache.entries", entries);
+    PRCOST_GAUGE_SET("bitstream_cache.resident_words", words);
   }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      entries_.fetch_sub(shard.map.size(), std::memory_order_relaxed);
-      for (const auto& [key, words] : shard.map) {
-        resident_words_.fetch_sub(words->size(), std::memory_order_relaxed);
-      }
-      shard.map.clear();
-    }
-    PRCOST_GAUGE_SET("bitstream_cache.entries",
-                     entries_.load(std::memory_order_relaxed));
-    PRCOST_GAUGE_SET("bitstream_cache.resident_words",
-                     resident_words_.load(std::memory_order_relaxed));
-  }
-
-  BitstreamCacheStats stats() const {
-    BitstreamCacheStats out;
-    out.hits = hits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.evictions = evictions_.load(std::memory_order_relaxed);
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.entries += shard.map.size();
-      for (const auto& [key, words] : shard.map) {
-        out.resident_words += words->size();
-      }
-    }
-    return out;
-  }
-
-  void set_capacity(std::size_t max_entries) {
-    capacity_.store(std::max<std::size_t>(kShardCount, max_entries),
-                    std::memory_order_relaxed);
-  }
-
-  /// Point-in-time copy of every resident (key, words) pair. Words are
-  /// shared_ptr, so this pins them without copying payloads.
-  std::vector<std::pair<Key, Words>> resident() const {
-    std::vector<std::pair<Key, Words>> out;
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.reserve(out.size() + shard.map.size());
-      for (const auto& [key, words] : shard.map) out.emplace_back(key, words);
-    }
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kShardCount = 8;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Words, KeyHash> map;
-  };
-
-  Shard& shard_for(const Key& key) {
-    return shards_[KeyHash{}(key)&(kShardCount - 1)];
-  }
-
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> evictions_{0};
-  std::atomic<std::size_t> entries_{0};        ///< mirrors shard maps (gauge)
-  std::atomic<std::size_t> resident_words_{0};  ///< cached payload words
-  std::atomic<std::size_t> capacity_{128};
 };
+
+using Cache = ShardedCache<Key, Words, Traits>;
 
 Key key_of(const PrrPlan& plan, Family family,
            const GeneratorOptions& options) {
@@ -226,71 +93,57 @@ constexpr u32 kBitstreamSnapshotVersion = 1;
 
 std::size_t bitstream_cache_save(const std::string& path) {
   SnapshotWriter out;
-  const auto resident = Cache::instance().resident();
-  out.put_u64(resident.size());
-  for (const auto& [key, words] : resident) {
-    out.put_u32(key.family);
-    out.put_u32(key.h);
-    out.put_u32(key.clb_cols);
-    out.put_u32(key.dsp_cols);
-    out.put_u32(key.bram_cols);
-    out.put_u32(key.first_col);
-    out.put_u32(key.first_row);
-    out.put_u64(key.payload_seed);
-    out.put_u32(key.idcode);
-    out.put_u32(key.payload_kind);
-    out.put_u64(key.density_bits);
-    out.put_u64(words->size());
-    out.put_bytes(words->data(), words->size() * sizeof(u32));
-  }
+  const std::size_t written = Cache::instance().save(
+      out, [](SnapshotWriter& w, const Key& key, const Words& words) {
+        w.put_u32(key.family);
+        w.put_u32(key.h);
+        w.put_u32(key.clb_cols);
+        w.put_u32(key.dsp_cols);
+        w.put_u32(key.bram_cols);
+        w.put_u32(key.first_col);
+        w.put_u32(key.first_row);
+        w.put_u64(key.payload_seed);
+        w.put_u32(key.idcode);
+        w.put_u32(key.payload_kind);
+        w.put_u64(key.density_bits);
+        w.put_u64(words->size());
+        w.put_bytes(words->data(), words->size() * sizeof(u32));
+      });
   out.write(path, kBitstreamSnapshotVersion);
-  return resident.size();
+  return written;
 }
 
 std::size_t bitstream_cache_load(const std::string& path) {
   SnapshotReader in{path, kBitstreamSnapshotVersion};
-  // Decode everything before touching the cache, so a malformed payload
-  // leaves it unchanged.
-  std::vector<std::pair<Key, Words>> loaded;
-  const u64 entry_count = in.get_u64();
-  loaded.reserve(std::min<u64>(entry_count, 1u << 16));
-  for (u64 i = 0; i < entry_count; ++i) {
+  return Cache::instance().load(in, [](SnapshotReader& r) {
     Key key;
-    key.family = in.get_u32();
-    key.h = in.get_u32();
-    key.clb_cols = in.get_u32();
-    key.dsp_cols = in.get_u32();
-    key.bram_cols = in.get_u32();
-    key.first_col = in.get_u32();
-    key.first_row = in.get_u32();
-    key.payload_seed = in.get_u64();
-    key.idcode = in.get_u32();
-    key.payload_kind = in.get_u32();
-    key.density_bits = in.get_u64();
-    const u64 word_count = in.get_u64();
-    if (word_count * sizeof(u32) > in.remaining()) {
-      throw ParseError{"snapshot '" + path + "': payload underrun"};
-    }
+    key.family = r.get_u32();
+    key.h = r.get_u32();
+    key.clb_cols = r.get_u32();
+    key.dsp_cols = r.get_u32();
+    key.bram_cols = r.get_u32();
+    key.first_col = r.get_u32();
+    key.first_row = r.get_u32();
+    key.payload_seed = r.get_u64();
+    key.idcode = r.get_u32();
+    key.payload_kind = r.get_u32();
+    key.density_bits = r.get_u64();
+    // Divide, not multiply: a crafted count times sizeof(u32) can wrap.
+    const u64 word_count = r.get_u64();
+    if (word_count > r.remaining() / sizeof(u32)) r.fail("payload underrun");
     std::vector<u32> words(static_cast<std::size_t>(word_count));
-    in.get_bytes(words.data(), words.size() * sizeof(u32));
-    loaded.emplace_back(
-        key, std::make_shared<const std::vector<u32>>(std::move(words)));
-  }
-  if (in.remaining() != 0) {
-    throw ParseError{"snapshot '" + path + "': trailing bytes"};
-  }
-  for (auto& [key, words] : loaded) {
-    Cache::instance().insert(key, std::move(words));
-  }
-  return loaded.size();
+    r.get_bytes(words.data(), words.size() * sizeof(u32));
+    return std::pair<Key, Words>{
+        key, std::make_shared<const std::vector<u32>>(std::move(words))};
+  });
 }
 
 bool bitstream_cache_enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed);
+  return Cache::instance().enabled();
 }
 
 void set_bitstream_cache_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
+  Cache::instance().set_enabled(on);
 }
 
 std::shared_ptr<const std::vector<u32>> generate_bitstream_cached(
@@ -309,7 +162,9 @@ std::shared_ptr<const std::vector<u32>> generate_bitstream_cached(
 void bitstream_cache_clear() { Cache::instance().clear(); }
 
 BitstreamCacheStats bitstream_cache_stats() {
-  return Cache::instance().stats();
+  const CacheStats stats = Cache::instance().stats();
+  return {stats.hits, stats.misses, stats.evictions, stats.entries,
+          stats.weight};
 }
 
 void set_bitstream_cache_capacity(std::size_t max_entries) {

@@ -6,20 +6,17 @@
 // with the same plan geometry and options. Generation is a pure function
 // of (family traits, PRR plan geometry, GeneratorOptions) - the family
 // enum interns the fabric's frame constants, and the plan's organization,
-// column window, and first row pin the burst layout - so the words can be
-// memoized process-wide, modeled on src/cost/plan_cache:
-//
-//   - sharded (mutex per shard) so parallel_for generation sweeps do not
-//     serialize on one lock;
-//   - bounded with an overflow-valve eviction (entries are whole
-//     bitstreams, so the default cap is small);
-//   - exact: a hit is byte-identical to a fresh generation, so results
-//     with the cache disabled match results with it enabled.
+// column window, and first row pin the burst layout - so the words are
+// memoized process-wide in a util/ShardedCache, the one behind the plan
+// cache: 8 shards, and a small default cap because entries are whole
+// bitstreams. A hit is byte-identical to a fresh generation, so results
+// with the cache disabled match results with it enabled.
 //
 // Hit/miss/eviction counts are exported through the obs metrics registry
-// ("bitstream_cache.hits" / ".misses" / ".evictions") and through stats()
-// for callers that keep metrics off. set_bitstream_cache_enabled(false) is
-// the escape hatch.
+// ("bitstream_cache.hits" / ".misses" / ".evictions", gauges ".entries"
+// and ".resident_words") and through bitstream_cache_stats() for callers
+// that keep metrics off. set_bitstream_cache_enabled(false) is the escape
+// hatch.
 #pragma once
 
 #include <memory>

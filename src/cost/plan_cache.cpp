@@ -1,21 +1,16 @@
 #include "cost/plan_cache.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <iterator>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/error.hpp"
+#include "util/sharded_cache.hpp"
 #include "util/snapshot.hpp"
 
 namespace prcost {
 namespace {
-
-std::atomic<bool> g_enabled{true};
 
 /// What a cache entry memoizes: a find_prr result, a candidate list, or a
 /// widened (superset-window) candidate list - discriminated by Key::kind,
@@ -29,35 +24,7 @@ struct Key {
   u32 objective = 0;
   EntryKind kind = EntryKind::kFindPrr;
 
-  bool operator==(const Key& other) const {
-    return fabric_id == other.fabric_id &&
-           req.lut_ff_pairs == other.req.lut_ff_pairs &&
-           req.luts == other.req.luts && req.ffs == other.req.ffs &&
-           req.dsps == other.req.dsps && req.brams == other.req.brams &&
-           max_height == other.max_height && objective == other.objective &&
-           kind == other.kind;
-  }
-};
-
-struct KeyHash {
-  std::size_t operator()(const Key& key) const noexcept {
-    // FNV-1a over the key fields (field-wise, not memcmp: Key has padding).
-    u64 h = 14695981039346656037ull;
-    const auto mix = [&h](u64 v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(key.fabric_id);
-    mix(key.req.lut_ff_pairs);
-    mix(key.req.luts);
-    mix(key.req.ffs);
-    mix(key.req.dsps);
-    mix(key.req.brams);
-    mix(key.max_height);
-    mix(key.objective);
-    mix(static_cast<u64>(key.kind));
-    return static_cast<std::size_t>(h);
-  }
+  bool operator==(const Key&) const = default;
 };
 
 struct Entry {
@@ -65,116 +32,34 @@ struct Entry {
   std::shared_ptr<const std::vector<PrrPlan>> candidates;  // kCandidates/kWidened
 };
 
-class Cache {
- public:
-  static Cache& instance() {
-    static Cache cache;
-    return cache;
-  }
+using EntryPtr = std::shared_ptr<const Entry>;
 
-  /// nullptr on miss. Shared entries: callers must not mutate.
-  std::shared_ptr<const Entry> lookup(const Key& key) {
-    Shard& shard = shard_for(key);
-    {
-      const std::scoped_lock lock{shard.mu};
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        PRCOST_COUNT("plan_cache.hits");
-        PRCOST_REQUEST_EVENT(kPlanCacheHit);
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+struct Traits {
+  static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kCapacity = std::size_t{1} << 16;
+
+  static std::size_t hash(const Key& key) noexcept {
+    return fnv1a({key.fabric_id, key.req.lut_ff_pairs, key.req.luts,
+                  key.req.ffs, key.req.dsps, key.req.brams, key.max_height,
+                  key.objective, static_cast<u64>(key.kind)});
+  }
+  /// Only the entry count is exported; entries carry no weight.
+  static std::size_t weight(const EntryPtr&) noexcept { return 0; }
+  static void on_hit() {
+    PRCOST_COUNT("plan_cache.hits");
+    PRCOST_REQUEST_EVENT(kPlanCacheHit);
+  }
+  static void on_miss() {
     PRCOST_COUNT("plan_cache.misses");
     PRCOST_REQUEST_EVENT(kPlanCacheMiss);
-    return nullptr;
   }
-
-  /// Insert (first writer wins) and return the resident entry.
-  std::shared_ptr<const Entry> insert(const Key& key,
-                                      std::shared_ptr<const Entry> entry) {
-    Shard& shard = shard_for(key);
-    const std::size_t shard_cap =
-        std::max<std::size_t>(1, capacity_.load(std::memory_order_relaxed) /
-                                     kShardCount);
-    const std::scoped_lock lock{shard.mu};
-    if (shard.map.size() >= shard_cap &&
-        shard.map.find(key) == shard.map.end()) {
-      // Full: drop an arbitrary resident entry (hash order ~ random). The
-      // DSE working set is far below the cap; this is an overflow valve,
-      // not an LRU.
-      shard.map.erase(shard.map.begin());
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      PRCOST_COUNT("plan_cache.evictions");
-    }
-    const auto [it, inserted] = shard.map.try_emplace(key, std::move(entry));
-    if (inserted) {
-      PRCOST_GAUGE_SET("plan_cache.entries",
-                       entries_.fetch_add(1, std::memory_order_relaxed) + 1);
-    }
-    return it->second;
+  static void on_evict() { PRCOST_COUNT("plan_cache.evictions"); }
+  static void on_resident(std::size_t entries, std::size_t) {
+    PRCOST_GAUGE_SET("plan_cache.entries", entries);
   }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      entries_.fetch_sub(shard.map.size(), std::memory_order_relaxed);
-      shard.map.clear();
-    }
-    PRCOST_GAUGE_SET("plan_cache.entries",
-                     entries_.load(std::memory_order_relaxed));
-  }
-
-  PlanCacheStats stats() const {
-    PlanCacheStats out;
-    out.hits = hits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.evictions = evictions_.load(std::memory_order_relaxed);
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.entries += shard.map.size();
-    }
-    return out;
-  }
-
-  void set_capacity(std::size_t max_entries) {
-    capacity_.store(std::max<std::size_t>(kShardCount, max_entries),
-                    std::memory_order_relaxed);
-  }
-
-  /// Point-in-time copy of every resident (key, entry) pair, shard by
-  /// shard. Entries are shared_ptr, so this pins them without copying.
-  std::vector<std::pair<Key, std::shared_ptr<const Entry>>> resident() const {
-    std::vector<std::pair<Key, std::shared_ptr<const Entry>>> out;
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.reserve(out.size() + shard.map.size());
-      for (const auto& [key, entry] : shard.map) out.emplace_back(key, entry);
-    }
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kShardCount = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, std::shared_ptr<const Entry>, KeyHash> map;
-  };
-
-  Shard& shard_for(const Key& key) {
-    return shards_[KeyHash{}(key)&(kShardCount - 1)];
-  }
-
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> evictions_{0};
-  std::atomic<std::size_t> entries_{0};  ///< mirrors the shard maps (gauge)
-  std::atomic<std::size_t> capacity_{1u << 16};
 };
+
+using Cache = ShardedCache<Key, EntryPtr, Traits>;
 
 // ---------------------------------------------------------------------
 // Snapshot persistence (plan_cache_save / plan_cache_load).
@@ -251,6 +136,24 @@ PrrPlan get_plan(SnapshotReader& in) {
   return plan;
 }
 
+/// Memoized candidate list of `kind` (kCandidates or kWidened), computed
+/// through `compute` on a miss or with the cache off.
+template <class Compute>
+std::shared_ptr<const std::vector<PrrPlan>> cached_candidates(
+    const PrmRequirements& req, const Fabric& fabric,
+    SearchObjective objective, EntryKind kind, Compute compute) {
+  if (!plan_cache_enabled()) {
+    return std::make_shared<const std::vector<PrrPlan>>(compute());
+  }
+  const Key key{fabric.identity(), req, 0, static_cast<u32>(objective), kind};
+  if (const auto entry = Cache::instance().lookup(key)) {
+    return entry->candidates;
+  }
+  auto entry = std::make_shared<Entry>();
+  entry->candidates = std::make_shared<const std::vector<PrrPlan>>(compute());
+  return Cache::instance().insert(key, std::move(entry))->candidates;
+}
+
 }  // namespace
 
 std::size_t plan_cache_save(const std::string& path) {
@@ -263,29 +166,27 @@ std::size_t plan_cache_save(const std::string& path) {
     out.put_u32(record.rows);
     out.put_string(record.pattern);
   }
-  const auto resident = Cache::instance().resident();
-  out.put_u64(resident.size());
-  for (const auto& [key, entry] : resident) {
-    out.put_u64(key.fabric_id);
-    out.put_u64(key.req.lut_ff_pairs);
-    out.put_u64(key.req.luts);
-    out.put_u64(key.req.ffs);
-    out.put_u64(key.req.dsps);
-    out.put_u64(key.req.brams);
-    out.put_u32(key.max_height);
-    out.put_u32(key.objective);
-    out.put_u32(static_cast<u32>(key.kind));
-    if (key.kind == EntryKind::kFindPrr) {
-      out.put_u32(entry->plan.has_value() ? 1 : 0);
-      if (entry->plan.has_value()) put_plan(out, *entry->plan);
-    } else {
-      const auto& candidates = *entry->candidates;
-      out.put_u64(candidates.size());
-      for (const PrrPlan& plan : candidates) put_plan(out, plan);
-    }
-  }
+  const std::size_t written = Cache::instance().save(
+      out, [](SnapshotWriter& w, const Key& key, const EntryPtr& entry) {
+        w.put_u64(key.fabric_id);
+        w.put_u64(key.req.lut_ff_pairs);
+        w.put_u64(key.req.luts);
+        w.put_u64(key.req.ffs);
+        w.put_u64(key.req.dsps);
+        w.put_u64(key.req.brams);
+        w.put_u32(key.max_height);
+        w.put_u32(key.objective);
+        w.put_u32(static_cast<u32>(key.kind));
+        if (key.kind == EntryKind::kFindPrr) {
+          w.put_u32(entry->plan.has_value() ? 1 : 0);
+          if (entry->plan.has_value()) put_plan(w, *entry->plan);
+        } else {
+          w.put_u64(entry->candidates->size());
+          for (const PrrPlan& plan : *entry->candidates) put_plan(w, plan);
+        }
+      });
   out.write(path, kPlanSnapshotVersion);
-  return resident.size();
+  return written;
 }
 
 std::size_t plan_cache_load(const std::string& path) {
@@ -299,77 +200,54 @@ std::size_t plan_cache_load(const std::string& path) {
     const u32 rows = in.get_u32();
     const std::string pattern = in.get_string();
     if (family >= std::size(kAllFamilies) || rows == 0 || pattern.empty()) {
-      throw ParseError{"snapshot '" + path + "': invalid fabric identity"};
+      in.fail("invalid fabric identity");
     }
     translate[old_id] =
         intern_fabric_identity(static_cast<Family>(family), pattern, rows);
   }
-  // Decode everything before touching the cache, so a malformed payload
-  // leaves it unchanged.
-  std::vector<std::pair<Key, std::shared_ptr<const Entry>>> loaded;
-  const u64 entry_count = in.get_u64();
-  // Bound the reserve: a crafted count larger than the payload could
-  // otherwise throw bad_alloc instead of the underrun ParseError below.
-  loaded.reserve(std::min<u64>(entry_count, 1u << 16));
-  for (u64 i = 0; i < entry_count; ++i) {
+  return Cache::instance().load(in, [&translate](SnapshotReader& r) {
     Key key;
-    const u64 old_fabric = in.get_u64();
-    const auto mapped = translate.find(old_fabric);
-    if (mapped == translate.end()) {
-      throw ParseError{"snapshot '" + path + "': unknown fabric id"};
-    }
+    const auto mapped = translate.find(r.get_u64());
+    if (mapped == translate.end()) r.fail("unknown fabric id");
     key.fabric_id = mapped->second;
-    key.req.lut_ff_pairs = in.get_u64();
-    key.req.luts = in.get_u64();
-    key.req.ffs = in.get_u64();
-    key.req.dsps = in.get_u64();
-    key.req.brams = in.get_u64();
-    key.max_height = in.get_u32();
-    key.objective = in.get_u32();
-    const u32 kind = in.get_u32();
+    key.req.lut_ff_pairs = r.get_u64();
+    key.req.luts = r.get_u64();
+    key.req.ffs = r.get_u64();
+    key.req.dsps = r.get_u64();
+    key.req.brams = r.get_u64();
+    key.max_height = r.get_u32();
+    key.objective = r.get_u32();
+    const u32 kind = r.get_u32();
     if (kind > static_cast<u32>(EntryKind::kWidened)) {
-      throw ParseError{"snapshot '" + path + "': invalid entry kind"};
+      r.fail("invalid entry kind");
     }
     key.kind = static_cast<EntryKind>(kind);
     auto entry = std::make_shared<Entry>();
     if (key.kind == EntryKind::kFindPrr) {
-      if (in.get_u32() != 0) entry->plan = get_plan(in);
+      if (r.get_u32() != 0) entry->plan = get_plan(r);
     } else {
-      const u64 plan_count = in.get_u64();
+      const u64 plan_count = r.get_u64();
       std::vector<PrrPlan> plans;
       plans.reserve(std::min<u64>(plan_count, 1u << 16));
-      for (u64 j = 0; j < plan_count; ++j) plans.push_back(get_plan(in));
+      for (u64 j = 0; j < plan_count; ++j) plans.push_back(get_plan(r));
       entry->candidates =
           std::make_shared<const std::vector<PrrPlan>>(std::move(plans));
     }
-    loaded.emplace_back(key, std::move(entry));
-  }
-  if (in.remaining() != 0) {
-    throw ParseError{"snapshot '" + path + "': trailing bytes"};
-  }
-  for (auto& [key, entry] : loaded) {
-    Cache::instance().insert(key, std::move(entry));
-  }
-  return loaded.size();
+    return std::pair<Key, EntryPtr>{key, std::move(entry)};
+  });
 }
 
-bool plan_cache_enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed);
-}
+bool plan_cache_enabled() noexcept { return Cache::instance().enabled(); }
 
 void set_plan_cache_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
+  Cache::instance().set_enabled(on);
 }
 
 std::optional<PrrPlan> find_prr_cached(const PrmRequirements& req,
                                        const Fabric& fabric,
                                        const SearchOptions& options) {
-  Key key;
-  key.fabric_id = fabric.identity();
-  key.req = req;
-  key.max_height = options.max_height;
-  key.objective = static_cast<u32>(options.objective);
-  key.kind = EntryKind::kFindPrr;
+  const Key key{fabric.identity(), req, options.max_height,
+                static_cast<u32>(options.objective), EntryKind::kFindPrr};
   if (const auto entry = Cache::instance().lookup(key)) return entry->plan;
   auto entry = std::make_shared<Entry>();
   entry->plan = find_prr_uncached(req, fabric, options);
@@ -379,49 +257,27 @@ std::optional<PrrPlan> find_prr_cached(const PrmRequirements& req,
 std::shared_ptr<const std::vector<PrrPlan>> placement_candidates(
     const PrmRequirements& req, const Fabric& fabric,
     SearchObjective objective) {
-  if (!plan_cache_enabled()) {
-    return std::make_shared<const std::vector<PrrPlan>>(
-        placement_candidates_uncached(req, fabric, objective));
-  }
-  Key key;
-  key.fabric_id = fabric.identity();
-  key.req = req;
-  key.objective = static_cast<u32>(objective);
-  key.kind = EntryKind::kCandidates;
-  if (const auto entry = Cache::instance().lookup(key)) {
-    return entry->candidates;
-  }
-  auto entry = std::make_shared<Entry>();
-  entry->candidates = std::make_shared<const std::vector<PrrPlan>>(
-      placement_candidates_uncached(req, fabric, objective));
-  return Cache::instance().insert(key, std::move(entry))->candidates;
+  return cached_candidates(
+      req, fabric, objective, EntryKind::kCandidates,
+      [&] { return placement_candidates_uncached(req, fabric, objective); });
 }
 
 std::shared_ptr<const std::vector<PrrPlan>> widened_candidates(
     const PrmRequirements& req, const Fabric& fabric,
     SearchObjective objective) {
-  if (!plan_cache_enabled()) {
-    return std::make_shared<const std::vector<PrrPlan>>(widen_candidates(
-        placement_candidates_uncached(req, fabric, objective), req, fabric));
-  }
-  Key key;
-  key.fabric_id = fabric.identity();
-  key.req = req;
-  key.objective = static_cast<u32>(objective);
-  key.kind = EntryKind::kWidened;
-  if (const auto entry = Cache::instance().lookup(key)) {
-    return entry->candidates;
-  }
-  auto entry = std::make_shared<Entry>();
-  entry->candidates = std::make_shared<const std::vector<PrrPlan>>(
-      widen_candidates(*placement_candidates(req, fabric, objective), req,
-                       fabric));
-  return Cache::instance().insert(key, std::move(entry))->candidates;
+  return cached_candidates(
+      req, fabric, objective, EntryKind::kWidened, [&] {
+        return widen_candidates(*placement_candidates(req, fabric, objective),
+                                req, fabric);
+      });
 }
 
 void plan_cache_clear() { Cache::instance().clear(); }
 
-PlanCacheStats plan_cache_stats() { return Cache::instance().stats(); }
+PlanCacheStats plan_cache_stats() {
+  const CacheStats stats = Cache::instance().stats();
+  return {stats.hits, stats.misses, stats.evictions, stats.entries};
+}
 
 void set_plan_cache_capacity(std::size_t max_entries) {
   Cache::instance().set_capacity(max_entries);

@@ -12,15 +12,15 @@
 //     organizations, not yet window-placed), shared read-only across
 //     threads.
 //
-// The cache is sharded (mutex per shard) so parallel_for sweeps do not
-// serialize on one lock, bounded (random-ish eviction past the per-shard
-// cap), and exact: a hit returns byte-identical data to a fresh
+// Both kinds share one util/ShardedCache (16 shards, 2^16 entries by
+// default): sharded so parallel_for sweeps do not serialize on one lock,
+// bounded, and exact - a hit returns byte-identical data to a fresh
 // computation, so results with the cache disabled match results with it
 // enabled. Hit/miss/eviction counts are exported through the obs metrics
 // registry ("plan_cache.hits" / ".misses" / ".evictions") and through
-// stats() for callers that keep metrics off. set_plan_cache_enabled(false)
-// is the escape hatch (benches and tests compare against the uncached
-// path with it).
+// plan_cache_stats() for callers that keep metrics off.
+// set_plan_cache_enabled(false) is the escape hatch (benches and tests
+// compare against the uncached path with it).
 #pragma once
 
 #include <memory>

@@ -29,6 +29,8 @@ struct PrmRequirements {
     return PrmRequirements{report.lut_ff_pairs, report.slice_luts,
                            report.slice_ffs, report.dsps, report.brams};
   }
+
+  bool operator==(const PrmRequirements&) const = default;
 };
 
 /// Eq. (1): CLB_req = ceil(LUT_FF_req / LUT_CLB).

@@ -35,10 +35,6 @@ const Crc32cTable& crc_table() {
   return table;
 }
 
-[[noreturn]] void malformed(const std::string& path, const std::string& why) {
-  throw ParseError{"snapshot '" + path + "': " + why};
-}
-
 }  // namespace
 
 u32 snapshot_checksum(const void* data, std::size_t size) noexcept {
@@ -100,10 +96,10 @@ SnapshotReader::SnapshotReader(const std::string& path, u32 expected_version)
   std::vector<unsigned char> file{std::istreambuf_iterator<char>{in},
                                   std::istreambuf_iterator<char>{}};
   if (file.size() < kHeaderBytes + sizeof(u32)) {
-    malformed(path_, "truncated header");
+    fail("truncated header");
   }
   if (std::memcmp(file.data(), kMagic.data(), kMagic.size()) != 0) {
-    malformed(path_, "bad magic");
+    fail("bad magic");
   }
   u32 version = 0;
   u32 endian = 0;
@@ -112,14 +108,14 @@ SnapshotReader::SnapshotReader(const std::string& path, u32 expected_version)
   std::memcpy(&endian, file.data() + 8, sizeof endian);
   std::memcpy(&payload_bytes, file.data() + 12, sizeof payload_bytes);
   if (endian != kEndianMarker) {
-    malformed(path_, "foreign endianness");
+    fail("foreign endianness");
   }
   if (version != expected_version) {
-    malformed(path_, "unsupported version " + std::to_string(version) +
-                         " (want " + std::to_string(expected_version) + ")");
+    fail("unsupported version " + std::to_string(version) + " (want " +
+         std::to_string(expected_version) + ")");
   }
   if (file.size() != kHeaderBytes + payload_bytes + sizeof(u32)) {
-    malformed(path_, "truncated payload");
+    fail("truncated payload");
   }
   u32 stored_crc = 0;
   std::memcpy(&stored_crc, file.data() + kHeaderBytes + payload_bytes,
@@ -127,7 +123,7 @@ SnapshotReader::SnapshotReader(const std::string& path, u32 expected_version)
   const u32 computed =
       snapshot_checksum(file.data() + kHeaderBytes, payload_bytes);
   if (stored_crc != computed) {
-    malformed(path_, "checksum mismatch");
+    fail("checksum mismatch");
   }
   payload_.assign(file.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes),
                   file.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes +
@@ -135,7 +131,11 @@ SnapshotReader::SnapshotReader(const std::string& path, u32 expected_version)
 }
 
 void SnapshotReader::need(std::size_t bytes) const {
-  if (remaining() < bytes) malformed(path_, "payload underrun");
+  if (remaining() < bytes) fail("payload underrun");
+}
+
+void SnapshotReader::fail(const std::string& why) const {
+  throw ParseError{"snapshot '" + path_ + "': " + why};
 }
 
 u32 SnapshotReader::get_u32() {

@@ -74,6 +74,10 @@ class SnapshotReader {
   /// Payload bytes not yet consumed.
   std::size_t remaining() const noexcept { return payload_.size() - pos_; }
 
+  /// Throw ParseError naming this snapshot's path and `why` - for payload
+  /// checks the caller's decoder makes.
+  [[noreturn]] void fail(const std::string& why) const;
+
  private:
   void need(std::size_t bytes) const;
 

@@ -199,6 +199,20 @@ TEST(Engine, ErrorCodeMapping) {
   EXPECT_THROW(engine.rank(api::RankRequest{}), UsageError);
 }
 
+TEST(Engine, ShapeErrorsComeBeforeDeviceLookup) {
+  // A request missing its PRMs is a usage error whatever the device says,
+  // for every op that takes a PRM list.
+  const Engine engine;
+  for (const char* op : {"explore", "faults", "schedule", "optimize"}) {
+    const std::string line =
+        std::string{"{\"op\":\""} + op + "\",\"device\":\"bogus\"}";
+    const Json envelope = api::dispatch_line(engine, line);
+    const Json* error = envelope.find("error");
+    ASSERT_NE(error, nullptr) << op;
+    EXPECT_EQ(error->find("code")->as_string(), "usage") << op;
+  }
+}
+
 TEST(Engine, SynthMatchesDirectCall) {
   const Engine engine;
   api::SynthRequest request;

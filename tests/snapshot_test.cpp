@@ -262,6 +262,53 @@ TEST_F(SnapshotTest, BitstreamCacheRoundTrips) {
   EXPECT_EQ(*after, *before);  // byte-identical words
 }
 
+TEST_F(SnapshotTest, BitstreamCacheLoadRejectsWrappingWordCount) {
+  // A checksum-valid entry whose word count times sizeof(u32) wraps u64.
+  const Device& device = DeviceDb::instance().get("xc5vlx110t");
+  PrmRequirements req;
+  req.lut_ff_pairs = 1200;
+  req.luts = 1000;
+  req.ffs = 900;
+  const auto plan = find_prr_cached(req, device.fabric, {});
+  ASSERT_TRUE(plan.has_value());
+  const auto resident =
+      generate_bitstream_cached(*plan, device.fabric.family());
+
+  const fs::path cache_dir = dir_ / "engine_cache";
+  fs::create_directories(cache_dir);
+  const std::string file = (cache_dir / "bitstream_cache.snap").string();
+  SnapshotWriter writer;
+  writer.put_u64(1);                              // entry count
+  for (int i = 0; i < 7; ++i) writer.put_u32(0);  // family .. first_row
+  writer.put_u64(0);                              // payload_seed
+  writer.put_u32(0);                              // idcode
+  writer.put_u32(0);                              // payload_kind
+  writer.put_u64(0);                              // density_bits
+  writer.put_u64(u64{1} << 62);                   // word_count
+  writer.put_u32(0);
+  writer.write(file, 1);
+
+  EXPECT_THROW(bitstream_cache_load(file), ParseError);
+  EXPECT_EQ(bitstream_cache_stats().entries, 1u);  // unchanged
+  EXPECT_EQ(bitstream_cache_stats().resident_words, resident->size());
+
+  // An Engine warm-starting from that directory cold-starts cleanly.
+  plan_cache_clear();
+  bitstream_cache_clear();
+  api::Engine::Options options;
+  options.cache_dir = cache_dir.string();
+  api::BitstreamRequest request;
+  request.device = "xc5vlx110t";
+  request.source.prm = "uart";
+  const api::BitstreamResponse from_corrupt =
+      api::Engine{options}.bitstream(request);
+  plan_cache_clear();
+  bitstream_cache_clear();
+  const api::BitstreamResponse from_plain = api::Engine{}.bitstream(request);
+  ASSERT_TRUE(from_corrupt.words != nullptr);
+  EXPECT_EQ(*from_corrupt.words, *from_plain.words);
+}
+
 TEST_F(SnapshotTest, EngineWarmStartIsByteIdentical) {
   api::Engine::Options options;
   options.cache_dir = (dir_ / "engine_cache").string();

@@ -47,6 +47,15 @@ if(NOT err MATCHES "unknown device 'bogus'" OR err MATCHES "usage:")
   message(FATAL_ERROR "unknown device: bad diagnostics: ${err}")
 endif()
 
+# A fleet-less optimize is a usage error even on an unknown device: the
+# request's shape is checked before the device is resolved.
+execute_process(COMMAND ${CLI} optimize --device bogus RESULT_VARIABLE rc
+                ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc(${rc} 2 "optimize without a fleet")
+if(NOT err MATCHES "usage:")
+  message(FATAL_ERROR "optimize without a fleet: banner missing: ${err}")
+endif()
+
 # Unreadable batch input: runtime failure.
 execute_process(COMMAND ${CLI} batch /no/such/file.jsonl RESULT_VARIABLE rc
                 ERROR_VARIABLE err OUTPUT_QUIET)
