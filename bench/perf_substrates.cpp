@@ -16,6 +16,7 @@
 #include "device/device_db.hpp"
 #include "dse/explorer.hpp"
 #include "netlist/generators.hpp"
+#include "netlist/serialize.hpp"
 #include "paperdata/paper_dataset.hpp"
 #include "par/par.hpp"
 #include "synth/synthesizer.hpp"
@@ -36,6 +37,59 @@ void BM_Synthesize(benchmark::State& state) {
   state.SetLabel(which == 0 ? "fir" : which == 1 ? "mips" : "sdram");
 }
 BENCHMARK(BM_Synthesize)->DenseRange(0, 2);
+
+/// The six netlist kinds perfbench's design_cold writes to disk and plans
+/// from (at its smallest jitter step).
+Netlist design_cold_netlist(int which) {
+  switch (which) {
+    case 0: {
+      FirParams p;
+      p.taps = 10;
+      p.symmetric_pairs = 2;
+      return make_fir(p);
+    }
+    case 1: return make_crc32(24);
+    case 2: {
+      SdramParams p;
+      p.data_width = 16;
+      return make_sdram_ctrl(p);
+    }
+    case 3: return make_uart(12);
+    case 4: return make_sobel(128, 8);
+    default: return make_fft_stage(32, 12);
+  }
+}
+
+constexpr const char* kDesignColdKinds[] = {"fir",  "crc32", "sdram",
+                                            "uart", "sobel", "fft_stage"};
+
+void BM_NetlistToText(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  const Netlist nl = design_cold_netlist(which);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = netlist_to_text(nl);
+    benchmark::DoNotOptimize(text.data());
+    bytes += text.size();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+  state.SetLabel(kDesignColdKinds[which]);
+}
+BENCHMARK(BM_NetlistToText)->DenseRange(0, 5);
+
+void BM_NetlistFromText(benchmark::State& state) {
+  const int which = static_cast<int>(state.range(0));
+  const std::string text = netlist_to_text(design_cold_netlist(which));
+  for (auto _ : state) {
+    const Netlist nl = netlist_from_text(text);
+    benchmark::DoNotOptimize(nl.cell_count());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+  state.SetLabel(std::string{kDesignColdKinds[which]} + " " +
+                 std::to_string(text.size()) + " B");
+}
+BENCHMARK(BM_NetlistFromText)->DenseRange(0, 5);
 
 void BM_GenerateBitstream(benchmark::State& state) {
   const auto& rec = paperdata::table5_record("MIPS", "xc5vlx110t");

@@ -20,6 +20,7 @@
 #include "sched/generators.hpp"
 #include "sched/scheduler.hpp"
 #include "netlist/serialize.hpp"
+#include "obs/obs.hpp"
 #include "opt/optimizer.hpp"
 #include "par/par.hpp"
 #include "reconfig/faults.hpp"
@@ -39,6 +40,13 @@ std::string slurp(const std::string& path, const char* what) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Read and parse a user's netlist file under one span, so the read shows
+/// as a phase of its request.
+Netlist read_netlist(const std::string& path) {
+  PRCOST_TRACE_SPAN("netlist_read");
+  return netlist_from_text(slurp(path, "netlist"));
 }
 
 /// Model input plus, when we synthesized it ourselves, the mapped netlist
@@ -89,8 +97,7 @@ PlanInput load_plan_input(const PrmSource& source, Family family,
   source.validate();
   if (!source.netlist_path.empty()) {
     SynthesisResult result =
-        synthesize(netlist_from_text(slurp(source.netlist_path, "netlist")),
-                   SynthOptions{family});
+        synthesize(read_netlist(source.netlist_path), SynthOptions{family});
     PrmRequirements req = PrmRequirements::from_report(result.report);
     return PlanInput{req, std::move(result)};
   }
@@ -178,7 +185,7 @@ SynthResponse Engine::synth(const SynthRequest& request) const {
   request.source.validate();
   const Netlist design =
       request.source.prm.empty()
-          ? netlist_from_text(slurp(request.source.netlist_path, "netlist"))
+          ? read_netlist(request.source.netlist_path)
           : make_builtin_prm(request.source.prm);
   SynthResponse response;
   response.report = synthesize(design, SynthOptions{request.family}).report;

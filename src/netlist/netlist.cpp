@@ -33,6 +33,11 @@ NetId Netlist::add_net(std::string name) {
   return NetId{narrow<u32>(nets_.size() - 1)};
 }
 
+void Netlist::reserve(std::size_t cells, std::size_t nets) {
+  cells_.reserve(cells);
+  nets_.reserve(nets);
+}
+
 CellId Netlist::add_cell(CellKind kind, std::string name,
                          std::span<const NetId> ins, u32 output_count,
                          u64 param0, u64 param1) {

@@ -111,6 +111,10 @@ class Netlist {
 
   // --- construction ------------------------------------------------------
 
+  /// Pre-size the cell and net stores (e.g. from a netlist file's line
+  /// count); ids and contents are unaffected.
+  void reserve(std::size_t cells, std::size_t nets);
+
   /// Create a fresh net; `name` may be empty (auto-named).
   NetId add_net(std::string name = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -92,6 +93,33 @@ u64 fuse_preadder_pairs(Netlist& nl) {
   return fused;
 }
 
+/// Primitives `cell` expands to (0 for a non-macro), or more than
+/// kMaxMacroPrimitives when over the ceiling. One primitive covers at most
+/// 25 x 18 multiplier bits or 1024 x 36 RAM bits, so an operand above
+/// kOperandCap alone puts a macro over the ceiling, and below it the
+/// counting functions cannot overflow.
+u64 macro_primitives(const Cell& cell, const DspArch& arch) {
+  constexpr u64 kOperandCap = kMaxMacroPrimitives * 1024;
+  switch (cell.kind) {
+    case CellKind::kMul:
+    case CellKind::kMulAcc: {
+      const u64 a_width = cell.param0 & ~(1ull << 63);
+      if (a_width > kOperandCap || cell.param1 > kOperandCap) {
+        return kOperandCap;
+      }
+      return dsp_count_for_mul(a_width, cell.param1, arch);
+    }
+    case CellKind::kRam: {
+      if (cell.param0 > kOperandCap || cell.param1 > kOperandCap) {
+        return kOperandCap;
+      }
+      const BramCount count = bram_count_for_ram(cell.param0, cell.param1);
+      return count.bram36 + count.bram18;
+    }
+    default: return 0;
+  }
+}
+
 }  // namespace
 
 MapStats map_netlist(Netlist& nl, Family family) {
@@ -100,6 +128,17 @@ MapStats map_netlist(Netlist& nl, Family family) {
 
   if (arch.has_preadder) {
     stats.muls_fused = fuse_preadder_pairs(nl);
+  }
+
+  u64 primitives = 0;
+  for (const CellId id : nl.live_cells()) {
+    const Cell& cell = nl.cell(id);
+    primitives += macro_primitives(cell, arch);
+    if (primitives > kMaxMacroPrimitives) {
+      throw ParseError{"netlist: macros expand past " +
+                       std::to_string(kMaxMacroPrimitives) +
+                       " DSP48/BRAM primitives at cell '" + cell.name + "'"};
+    }
   }
 
   // Expand multipliers to DSP48 primitives. The first primitive reuses the

@@ -32,6 +32,12 @@ struct MapStats {
   u64 full_pairs = 0;        ///< LUT-FF pairs with both halves used
 };
 
+/// The most DSP48 plus BRAM primitives one netlist's MUL/MULACC/RAM macros
+/// may expand to: over 20x the DSP or BRAM sites of the largest catalog
+/// device (768 DSP48E1s on the xc6vlx240t). Macro sizes come from netlist
+/// text, so without it one crafted cell expands without bound.
+inline constexpr u64 kMaxMacroPrimitives = u64{1} << 14;
+
 /// Map `nl` in place for `family`:
 ///  1. fuse multiplier pairs sharing a coefficient bus when the family DSP
 ///     has a pre-adder (symmetric FIR taps: the reason the paper's FIR
@@ -39,6 +45,8 @@ struct MapStats {
 ///  2. expand kMul/kMulAcc to kDsp48 primitives (tiling wide operands),
 ///  3. expand kRam macros to kBram36/kBram18 primitives,
 ///  4. compute LUT-FF pairing.
+/// Throws ParseError, naming the cell, before expanding anything when the
+/// macros would expand past kMaxMacroPrimitives.
 MapStats map_netlist(Netlist& nl, Family family);
 
 /// Count how many DSP48 primitives one (a_width x b_width) multiplier

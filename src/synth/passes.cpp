@@ -93,7 +93,9 @@ u64 propagate_constants(Netlist& nl) {
         const u64 mask = k >= 6 ? ~u64{0} : (u64{1} << (u64{1} << k)) - 1;
         const u64 table = after.param0 & mask;
         if (table == 0 || table == mask) {
-          nl.replace_net(after.outputs[0], nl.const_net(table != 0));
+          // const_net may add a cell, which invalidates `after`.
+          const NetId out = after.outputs[0];
+          nl.replace_net(out, nl.const_net(table != 0));
           nl.kill_cell(id);
           ++changed;
           progress = true;

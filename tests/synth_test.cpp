@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "netlist/generators.hpp"
 #include "netlist/logic.hpp"
 #include "synth/mapper.hpp"
@@ -274,6 +276,53 @@ TEST(Mapper, RamExpansionCounts) {
                             nl.const_net(false)));
   map_netlist(nl, Family::kVirtex5);
   EXPECT_EQ(nl.stats().bram36s, 4u);
+}
+
+/// The ParseError message mapping `nl` throws ("" if it maps).
+std::string map_error(Netlist nl, Family family = Family::kVirtex6) {
+  try {
+    map_netlist(nl, family);
+  } catch (const ParseError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Mapper, RefusesMacrosPastThePrimitiveCeiling) {
+  // Widths like these come from netlist text ("cell MUL m 99999999999
+  // 99999999999 | | p"); unchecked, the MUL expands for minutes and the
+  // RAM's bit count overflows u64.
+  Netlist mul{"t"};
+  mul.add_cell(CellKind::kMul, "m", {}, 1, 99999999999, 99999999999);
+  EXPECT_EQ(map_error(mul),
+            "netlist: macros expand past 16384 DSP48/BRAM primitives at "
+            "cell 'm'");
+  EXPECT_THROW(synthesize(std::move(mul), SynthOptions{Family::kVirtex6}),
+               ParseError);
+
+  Netlist ram{"t"};
+  ram.add_cell(CellKind::kRam, "r", {}, 1, 99999999999, 99999999999);
+  EXPECT_NE(map_error(ram).find("cell 'r'"), std::string::npos);
+
+  Netlist widest{"t"};
+  widest.add_cell(CellKind::kMulAcc, "acc", {}, 1, ~u64{0}, ~u64{0});
+  widest.add_cell(CellKind::kRam, "deep", {}, 1, ~u64{0}, 1);
+  EXPECT_NE(map_error(widest).find("cell 'acc'"), std::string::npos);
+}
+
+TEST(Mapper, CeilingCountsEveryMacroInTheNetlist) {
+  // 16384 DSP48s from one MUL map; one more primitive anywhere does not,
+  // and the error names the cell that crosses the ceiling.
+  const u64 a_width = 25 * kMaxMacroPrimitives;
+  Netlist at{"t"};
+  at.add_cell(CellKind::kMul, "m", {}, 1, a_width, 18);
+  EXPECT_EQ(map_error(at, Family::kVirtex5), "");
+
+  Netlist over{"t"};
+  over.add_cell(CellKind::kMul, "m", {}, 1, a_width, 18);
+  over.add_cell(CellKind::kRam, "r", {}, 1, 16, 8);
+  EXPECT_NE(map_error(over, Family::kVirtex5).find("cell 'r'"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------ synthesize ---

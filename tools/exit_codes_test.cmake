@@ -1,7 +1,7 @@
 # CLI exit-code contract: 0 = success, 1 = runtime failure (message
 # only, no usage banner), 2 = usage error (message + banner).
 #
-# Usage: cmake -DCLI=<prcost> -P exit_codes_test.cmake
+# Usage: cmake -DCLI=<prcost> -DWORK=<dir> -P exit_codes_test.cmake
 
 function(expect_rc rc want label)
   if(NOT rc EQUAL ${want})
@@ -70,6 +70,29 @@ execute_process(COMMAND ${CLI} plan matmul --device xc5vlx110t
 expect_rc(${rc} 1 "infeasible plan")
 if(NOT out MATCHES "no feasible PRR")
   message(FATAL_ERROR "infeasible plan: verdict missing: ${out}")
+endif()
+
+# A netlist macro past the mapper's primitive ceiling: a prompt parse
+# failure naming the cell, not an unbounded expansion. The timeouts turn
+# a hang into a failure.
+set(huge_mul ${WORK}/exit_codes_huge_mul.net)
+file(WRITE ${huge_mul}
+  "netlist t\ncell MUL m 99999999999 99999999999 | | p\n")
+execute_process(COMMAND ${CLI} plan --device xc6vlx240t --netlist
+                ${huge_mul} RESULT_VARIABLE rc ERROR_VARIABLE err
+                OUTPUT_QUIET TIMEOUT 20)
+expect_rc(${rc} 1 "plan on a huge MUL netlist")
+if(NOT err MATCHES "cell 'm'" OR err MATCHES "usage:")
+  message(FATAL_ERROR "plan on a huge MUL netlist: bad diagnostics: ${err}")
+endif()
+# synth reads netlist files only through the request wire.
+set(huge_mul_batch ${WORK}/exit_codes_huge_mul.jsonl)
+file(WRITE ${huge_mul_batch}
+  "{\"op\":\"synth\",\"netlist\":\"${huge_mul}\"}\n")
+execute_process(COMMAND ${CLI} batch ${huge_mul_batch} RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_QUIET TIMEOUT 20)
+if(NOT out MATCHES "\"code\":\"parse\"" OR NOT out MATCHES "cell 'm'")
+  message(FATAL_ERROR "synth on a huge MUL netlist: bad response: ${out}")
 endif()
 
 message(STATUS "exit-code contract holds")
