@@ -10,10 +10,12 @@
 //                 draws its payload from its own Rng, so it also checks
 //                 the generator's memoized payload tape independently;
 //   sliced      - generate_bitstream_into with a reused scratch buffer
-//                 (dispatched span CRC - hardware when available - one
-//                 exact reserve, payload bursts copied from the payload
-//                 tape, which the verification pass has already grown, so
-//                 this row reads a warm tape and draws no payload words);
+//                 (one exact reserve, payload bursts copied from the
+//                 payload tape, which the verification pass has already
+//                 grown, so this row reads a warm tape and draws no
+//                 payload words; each burst's CRC is combined from the
+//                 tape's checkpoints, the few remaining words go through
+//                 the dispatched span kernel);
 //   cached      - generate_bitstream_cached steady-state hits.
 //
 // A fourth section ("hw") times the raw config-CRC kernel itself over a

@@ -1,9 +1,12 @@
 #include "bitstream/crc.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+
+#include "util/error.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PRCOST_CRC_X86 1
@@ -33,6 +36,41 @@ constexpr u32 zero_steps(u32 s, u32 n) {
   for (u32 i = 0; i < n; ++i) s = (s >> 1) ^ ((s & 1u) ? kReflected : 0u);
   return s;
 }
+
+/// a·b mod P for reflected-domain polynomials (bit 31 is x^0): the
+/// shift-and-add product of zlib's multmodp, without branches on `a`.
+constexpr u32 mul_mod(u32 a, u32 b) {
+  u32 p = 0;
+  for (u32 i = 0; i < 32; ++i) {
+    p ^= b & (0u - ((a >> (31 - i)) & 1u));
+    b = (b >> 1) ^ (kReflected & (0u - (b & 1u)));
+  }
+  return p;
+}
+
+/// x^(2^k) mod P for every bit k of a u64 exponent.
+constexpr std::array<u32, 64> make_x2k() {
+  std::array<u32, 64> t{};
+  t[0] = 1u << 30;  // x^1
+  for (std::size_t k = 1; k < t.size(); ++k) t[k] = mul_mod(t[k - 1], t[k - 1]);
+  return t;
+}
+
+constexpr std::array<u32, 64> kX2k = make_x2k();
+
+/// x^n mod P by square-and-multiply over the bits of n.
+constexpr u32 x_pow_mod(u64 n) {
+  u32 p = 1u << 31;  // x^0
+  for (std::size_t k = 0; n != 0; ++k, n >>= 1) {
+    if ((n & 1u) != 0) p = mul_mod(kX2k[k], p);
+  }
+  return p;
+}
+
+static_assert(mul_mod(x_pow_mod(37), 0xDEADBEEFu) ==
+              zero_steps(0xDEADBEEFu, 37));
+static_assert(mul_mod(x_pow_mod(37 * 3), 0x0BADF00Du) ==
+              zero_steps(0x0BADF00Du, 37 * 3));
 
 // Keeping the accumulator bit-reversed turns the hardware's LSB-first feed
 // (shift_in_bit in BitSerialConfigCrc below) into the classic reflected CRC
@@ -314,6 +352,35 @@ void ConfigCrc::update_span(ConfigReg reg, std::span<const u32> words) {
 }
 
 u32 ConfigCrc::value() const { return bit_reverse(state_); }
+
+CrcShift::CrcShift(u64 writes)
+    : writes_{writes}, power_{x_pow_mod(checked_mul(writes, 37))} {}
+
+u32 CrcShift::operator()(u32 state) const { return mul_mod(power_, state); }
+
+void CrcCheckpoints::extend(std::span<const u32> words) {
+  std::size_t at = (states_.size() - 1) * kStride;
+  if (words.size() < at) {
+    throw ContractError{"CrcCheckpoints::extend: sequence shrank"};
+  }
+  const CrcImpl impl = active_crc_impl();
+  const u32 reg5 = static_cast<u32>(ConfigReg::kFdri) & 0x1Fu;
+  u32 state = states_.back();
+  for (; words.size() - at >= kStride; at += kStride) {
+    state = span_with(impl, state, reg5, words.data() + at, kStride);
+    states_.push_back(state);
+  }
+}
+
+u32 CrcCheckpoints::prefix(std::span<const u32> words, std::size_t i) const {
+  const std::size_t k = i / kStride;
+  if (k >= states_.size() || i > words.size()) {
+    throw ContractError{"CrcCheckpoints::prefix: past the recorded words"};
+  }
+  const u32 reg5 = static_cast<u32>(ConfigReg::kFdri) & 0x1Fu;
+  return span_with(active_crc_impl(), states_[k], reg5,
+                   words.data() + k * kStride, i % kStride);
+}
 
 void BitSerialConfigCrc::update(ConfigReg reg, u32 data) {
   // 37-bit contribution: data bits 0..31 LSB-first, then the 5-bit

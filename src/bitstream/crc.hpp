@@ -23,10 +23,25 @@
 // (bitserial | sliced | hw | sse42) overrides it, and `set_crc_impl`
 // overrides both (used by benches and tests). All three implementations
 // are bit-identical; the dispatch is purely a speed knob.
+//
+// The scheme is linear over GF(2), which gives a second way to absorb a
+// burst that is a slice of a fixed word sequence (the generator's payload
+// tape). Let P_i be the state after absorbing words [0, i) from state 0.
+// Then absorbing [a, b) from `state` yields
+//
+//   state' = Z(state ^ P_a) ^ P_b,   Z = CrcShift{b - a}
+//
+// where Z advances by 37(b - a) zero bits: multiplication by x^(37(b-a))
+// mod the polynomial, the operator zlib's crc32_combine applies.
+// CrcCheckpoints keeps P at every 64th word (4 bytes per 64 words, 1/64 of
+// the sequence) and finds any P_i from the nearest checkpoint plus at most
+// 63 words, so a burst costs O(1) words of CRC work instead of one per
+// word.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "bitstream/words.hpp"
 #include "util/ints.hpp"
@@ -66,6 +81,48 @@ u32 config_crc_advance(CrcImpl impl, u32 state, ConfigReg reg,
 /// to checksum cache snapshots. Uses the crc32 instruction when available.
 u32 crc32c_bytes(const void* data, std::size_t size);
 
+/// Z: advance a reflected-domain state by 37·`writes` zero bits, i.e.
+/// across `writes` register writes' worth of shifting with no input. Built
+/// once per burst length; applying it costs one 32-bit GF(2) product.
+class CrcShift {
+ public:
+  CrcShift() : CrcShift{u64{0}} {}  ///< the identity
+  explicit CrcShift(u64 writes);
+
+  u64 writes() const { return writes_; }
+
+  /// `state` multiplied by x^(37·writes) mod the CRC-32C polynomial.
+  u32 operator()(u32 state) const;
+
+ private:
+  u64 writes_;
+  u32 power_;  ///< x^(37·writes) mod P, reflected (bit 31 is x^0)
+};
+
+/// Prefix states of one growing word sequence written to
+/// `ConfigReg::kFdri`: P_i, the reflected state after absorbing words
+/// [0, i) from state 0, checkpointed every kStride words.
+class CrcCheckpoints {
+ public:
+  static constexpr std::size_t kStride = 64;
+
+  /// Record the checkpoints of `words`, the whole sequence so far; it
+  /// must extend the sequence of every earlier call. Runs the dispatched
+  /// span kernel over the words since the last checkpoint.
+  void extend(std::span<const u32> words);
+
+  /// P_i of `words` (the sequence last passed to extend, or a prefix of
+  /// it covering `i`): the nearest checkpoint at or below `i` advanced by
+  /// at most kStride - 1 words.
+  u32 prefix(std::span<const u32> words, std::size_t i) const;
+
+  /// Number of checkpoints held (P_0, P_64, ...).
+  std::size_t size() const { return states_.size(); }
+
+ private:
+  std::vector<u32> states_{0u};  ///< states_[k] = P_{k·kStride}
+};
+
 /// Streaming configuration-CRC accumulator (runtime-dispatched).
 class ConfigCrc {
  public:
@@ -75,6 +132,14 @@ class ConfigCrc {
   /// Absorb a burst of writes to the same register (FDRI payloads).
   /// Equivalent to calling update(reg, w) for each word in order.
   void update_span(ConfigReg reg, std::span<const u32> words);
+
+  /// Absorb words [a, b) of a fixed sequence written to one register,
+  /// given that sequence's prefix states P_a and P_b under the same
+  /// register and `shift` = CrcShift{b - a}. Equivalent to update_span
+  /// over the slice, at constant cost.
+  void absorb_slice(u32 prefix_a, u32 prefix_b, const CrcShift& shift) {
+    state_ = shift(state_ ^ prefix_a) ^ prefix_b;
+  }
 
   /// Current CRC value.
   u32 value() const;

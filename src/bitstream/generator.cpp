@@ -1,6 +1,7 @@
 #include "bitstream/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <memory>
 #include <mutex>
@@ -71,13 +72,20 @@ void fill_payload(std::span<u32> dst, Rng& payload,
 /// option sets draw their own words.
 constexpr std::size_t kMaxPayloadTapes = 8;
 
+/// A drawn prefix of one option set's payload sequence, immutable once
+/// published: the words and their FDRI CRC checkpoints, grown together.
+struct TapeWords {
+  std::vector<u32> words;
+  CrcCheckpoints crc;
+};
+
 /// The payload word sequence of one option set, drawn so far.
 struct PayloadTape {
   PayloadKind kind;
   u64 seed;
   u64 density_bits;  ///< sparse_density's bits under kSparse, else 0
-  Rng rng;           ///< state after the last word of `words`
-  std::shared_ptr<const std::vector<u32>> words;
+  Rng rng;           ///< state after the last word of `drawn->words`
+  std::shared_ptr<const TapeWords> drawn;
 };
 
 /// A snapshot of at least `words` payload words for `options`, or null
@@ -85,12 +93,13 @@ struct PayloadTape {
 ///
 /// Every stream draws its FDRI words from a fresh Rng{payload_seed} in
 /// stream order, so the payload of every stream with the same options is
-/// a prefix of one fixed sequence. The tape memoizes that sequence. It
-/// grows only when a stream needs more words than it holds, to exactly
-/// that length, continuing from the saved Rng state; a grown tape is a new
-/// immutable vector, so readers slice their snapshot without the lock.
-std::shared_ptr<const std::vector<u32>> payload_tape(
-    const GeneratorOptions& options, std::size_t words) {
+/// a prefix of one fixed sequence. The tape memoizes that sequence and its
+/// CRC checkpoints. It grows only when a stream needs more words than it
+/// holds, to exactly that length, continuing from the saved Rng state and
+/// the last checkpoint; a grown tape is a new immutable snapshot, so
+/// readers slice it without the lock.
+std::shared_ptr<const TapeWords> payload_tape(const GeneratorOptions& options,
+                                              std::size_t words) {
   static std::mutex mu;
   static std::vector<PayloadTape> tapes;
   const u64 density_bits = options.payload == PayloadKind::kSparse
@@ -107,17 +116,19 @@ std::shared_ptr<const std::vector<u32>> payload_tape(
         tapes.end(),
         PayloadTape{options.payload, options.payload_seed, density_bits,
                     Rng{options.payload_seed},
-                    std::make_shared<const std::vector<u32>>()});
+                    std::make_shared<const TapeWords>()});
   }
-  const std::vector<u32>& held = *tape->words;
-  if (held.size() < words) {
-    auto grown = std::make_shared<std::vector<u32>>(words);
-    std::copy(held.begin(), held.end(), grown->begin());
-    fill_payload(std::span<u32>{*grown}.subspan(held.size()), tape->rng,
-                 options);
-    tape->words = std::move(grown);
+  const TapeWords& held = *tape->drawn;
+  if (held.words.size() < words) {
+    auto grown = std::make_shared<TapeWords>(
+        TapeWords{std::vector<u32>(words), held.crc});
+    std::copy(held.words.begin(), held.words.end(), grown->words.begin());
+    fill_payload(std::span<u32>{grown->words}.subspan(held.words.size()),
+                 tape->rng, options);
+    grown->crc.extend(grown->words);
+    tape->drawn = std::move(grown);
   }
-  return tape->words;
+  return tape->drawn;
 }
 
 /// The FDRI words of one stream, in order: slices of its option set's
@@ -132,27 +143,51 @@ class PayloadSource {
     }
   }
 
-  /// Append the next `count` payload words to `out`.
-  void append(std::vector<u32>& out, std::size_t count) {
+  /// Append the next `count` payload words to `out` and absorb them into
+  /// `crc` as FDRI writes. A tape slice [a, b) is absorbed from the
+  /// tape's prefix states P_a (the previous slice's P_b) and P_b; drawn
+  /// words go through the span kernel.
+  void append(std::vector<u32>& out, ConfigCrc& crc, std::size_t count) {
     if (tape_) {
-      if (count > tape_->size() - next_) {
+      const std::vector<u32>& words = tape_->words;
+      if (count > words.size() - next_) {
         throw ContractError{"generate_bitstream: payload past its tape"};
       }
-      const auto first = tape_->begin() + static_cast<std::ptrdiff_t>(next_);
+      const auto first = words.begin() + static_cast<std::ptrdiff_t>(next_);
       out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(count));
       next_ += count;
+      const u32 prefix_end = tape_->crc.prefix(words, next_);
+      crc.absorb_slice(prefix_, prefix_end, shift(count));
+      prefix_ = prefix_end;
       return;
     }
     const std::size_t at = out.size();
     out.resize(at + count);
     fill_payload(std::span<u32>{out}.subspan(at), rng_, options_);
+    crc.update_span(ConfigReg::kFdri, std::span<const u32>{out}.subspan(at));
   }
 
  private:
+  /// The shift for a slice of `count` words. A row has at most two burst
+  /// lengths (configuration and BRAM), so two slots hold every length of
+  /// a rectangular stream and of each band of a shaped one.
+  const CrcShift& shift(std::size_t count) {
+    for (const CrcShift& s : shifts_) {
+      if (s.writes() == count) return s;
+    }
+    CrcShift& slot = shifts_[next_slot_];
+    next_slot_ = (next_slot_ + 1) % shifts_.size();
+    slot = CrcShift{count};
+    return slot;
+  }
+
   const GeneratorOptions& options_;
   Rng rng_;
-  std::shared_ptr<const std::vector<u32>> tape_;
+  std::shared_ptr<const TapeWords> tape_;
   std::size_t next_ = 0;
+  u32 prefix_ = 0;  ///< P_next_ of the tape
+  std::array<CrcShift, 2> shifts_{};
+  std::size_t next_slot_ = 0;
 };
 
 void emit_burst(std::vector<u32>& out, ConfigCrc& crc, PayloadSource& payload,
@@ -165,10 +200,7 @@ void emit_burst(std::vector<u32>& out, ConfigCrc& crc, PayloadSource& payload,
   crc.update(ConfigReg::kFar, far);
   out.push_back(type1(PacketOp::kWrite, ConfigReg::kFdri, 0));
   out.push_back(type2(PacketOp::kWrite, narrow<u32>(word_count)));
-  const std::size_t payload_at = out.size();
-  payload.append(out, static_cast<std::size_t>(word_count));
-  crc.update_span(ConfigReg::kFdri,
-                  std::span<const u32>{out}.subspan(payload_at));
+  payload.append(out, crc, static_cast<std::size_t>(word_count));
 }
 
 /// Payload words of one fabric row's bursts.

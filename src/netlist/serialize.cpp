@@ -4,6 +4,7 @@
 #include <bit>
 #include <charconv>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,54 @@ CellKind parse_cell_kind(std::string_view name) {
     if (cell_kind_name(kind) == name) return kind;
   }
   throw ParseError{"netlist: unknown cell kind '" + std::string{name} + "'"};
+}
+
+/// Reject a cell line whose pins or params synthesis cannot take: it
+/// reads FF, LUT and port pins by position and sizes MUL and RAM macros
+/// from their params, and the mapper keeps a pre-adder mark in a MUL's top
+/// width bit. CARRY and the mapped primitives take whatever pins they are
+/// given.
+void check_cell(CellKind kind, std::string_view name, std::size_t inputs,
+                std::size_t outputs, u64 param0, u64 param1) {
+  const auto fail = [&](const std::string& what) {
+    throw ParseError{"netlist: cell '" + std::string{name} + "' (" +
+                     std::string{cell_kind_name(kind)} + ") " + what};
+  };
+  const auto pins = [&](std::size_t min_inputs, std::size_t max_inputs,
+                        std::size_t want_outputs) {
+    if (inputs >= min_inputs && inputs <= max_inputs &&
+        outputs == want_outputs) {
+      return;
+    }
+    const std::string want_inputs =
+        min_inputs == max_inputs ? std::to_string(min_inputs)
+                                 : std::to_string(min_inputs) + ".." +
+                                       std::to_string(max_inputs);
+    fail("takes " + want_inputs + " inputs and " +
+         std::to_string(want_outputs) + " outputs, not " +
+         std::to_string(inputs) + " and " + std::to_string(outputs));
+  };
+  constexpr u64 kMaxWidth = (u64{1} << 63) - 1;
+  switch (kind) {
+    case CellKind::kConst0:
+    case CellKind::kConst1:
+    case CellKind::kInput: return pins(0, 0, 1);
+    case CellKind::kOutput: return pins(1, 1, 0);
+    case CellKind::kLut: return pins(1, 6, 1);
+    // D, then the CE pin clock-enable absorption attaches.
+    case CellKind::kFf: return pins(1, 2, 1);
+    case CellKind::kMul:
+    case CellKind::kMulAcc:
+      if (param0 == 0 || param1 == 0 || param0 > kMaxWidth ||
+          param1 > kMaxWidth) {
+        fail("needs operand widths in 1..2^63-1");
+      }
+      return;
+    case CellKind::kRam:
+      if (param0 == 0 || param1 == 0) fail("needs a nonzero depth and width");
+      return;
+    default: return;
+  }
 }
 
 void append_u64(std::string& out, u64 value) {
@@ -210,6 +259,8 @@ Netlist netlist_from_text(std::string_view text) {
       }
     }
     const CellKind kind = parse_cell_kind(kind_name);
+    check_cell(kind, cell_name, inputs.size(), output_names.size(), param0,
+               param1);
     const CellId id =
         nl->add_cell(kind, std::string{cell_name}, inputs,
                      narrow<u32>(output_names.size()), param0, param1);

@@ -210,13 +210,14 @@ class Parser {
     const bool integral =
         token.find_first_of(".eE") == std::string_view::npos;
     if (integral) {
+      const char* end = token.data() + token.size();
       i64 value = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec == std::errc{} && ptr == token.data() + token.size()) {
-        return Json{value};
-      }
-      // fall through (overflow) to double
+      const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+      if (ec == std::errc{} && ptr == end) return Json{value};
+      u64 big = 0;
+      const auto [big_ptr, big_ec] = std::from_chars(token.data(), end, big);
+      if (big_ec == std::errc{} && big_ptr == end) return Json{big};
+      // fall through (beyond u64) to double
     }
     double value = 0;
     const auto [ptr, ec] =
@@ -231,21 +232,18 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void dump_to(const Json& value, std::string& out);
-
 }  // namespace
 
 Json::Json(u64 v) {
   if (v > static_cast<u64>(std::numeric_limits<i64>::max())) {
-    // Counts this large never occur in practice; degrade to double rather
-    // than wrap.
-    value_ = static_cast<double>(v);
+    value_ = v;
   } else {
     value_ = static_cast<i64>(v);
   }
 }
 
 Json::Kind Json::kind() const {
+  if (std::holds_alternative<u64>(value_)) return Kind::kInt;
   return static_cast<Kind>(value_.index());
 }
 
@@ -256,10 +254,14 @@ bool Json::as_bool() const {
 
 i64 Json::as_i64() const {
   if (const i64* v = std::get_if<i64>(&value_)) return *v;
+  if (std::holds_alternative<u64>(value_)) {
+    throw ParseError{"Json: integer above the i64 range"};
+  }
   wrong_kind("int", kind());
 }
 
 u64 Json::as_u64() const {
+  if (const u64* big = std::get_if<u64>(&value_)) return *big;
   const i64 v = as_i64();
   if (v < 0) throw ParseError{"Json: expected a non-negative integer"};
   return static_cast<u64>(v);
@@ -269,6 +271,9 @@ double Json::as_double() const {
   if (const double* v = std::get_if<double>(&value_)) return *v;
   if (const i64* v = std::get_if<i64>(&value_)) {
     return static_cast<double>(*v);
+  }
+  if (const u64* big = std::get_if<u64>(&value_)) {
+    return static_cast<double>(*big);
   }
   wrong_kind("number", kind());
 }
@@ -315,9 +320,8 @@ void Json::push_back(Json value) {
   std::get<Array>(value_).push_back(std::move(value));
 }
 
-namespace {
-
-void dump_to(const Json& value, std::string& out) {
+void Json::dump_to(std::string& out) const {
+  const Json& value = *this;
   switch (value.kind()) {
     case Json::Kind::kNull:
       out += "null";
@@ -327,8 +331,10 @@ void dump_to(const Json& value, std::string& out) {
       return;
     case Json::Kind::kInt: {
       char buf[24];
+      const u64* big = std::get_if<u64>(&value_);
       const auto [ptr, ec] =
-          std::to_chars(buf, buf + sizeof buf, value.as_i64());
+          big != nullptr ? std::to_chars(buf, buf + sizeof buf, *big)
+                         : std::to_chars(buf, buf + sizeof buf, value.as_i64());
       out.append(buf, ptr);
       return;
     }
@@ -352,7 +358,7 @@ void dump_to(const Json& value, std::string& out) {
       for (const Json& element : value.as_array()) {
         if (!first) out += ',';
         first = false;
-        dump_to(element, out);
+        element.dump_to(out);
       }
       out += ']';
       return;
@@ -365,7 +371,7 @@ void dump_to(const Json& value, std::string& out) {
         first = false;
         append_escaped(out, key);
         out += ':';
-        dump_to(member, out);
+        member.dump_to(out);
       }
       out += '}';
       return;
@@ -373,11 +379,9 @@ void dump_to(const Json& value, std::string& out) {
   }
 }
 
-}  // namespace
-
 std::string Json::dump() const {
   std::string out;
-  dump_to(*this, out);
+  dump_to(out);
   return out;
 }
 

@@ -19,7 +19,8 @@ namespace prcost {
 
 /// One JSON value: null, bool, integer, double, string, array, or object.
 /// Integers are kept separately from doubles so u64 counts (bitstream
-/// bytes, cell totals) round-trip exactly.
+/// bytes, cell totals) and seeds round-trip exactly: an integer is held as
+/// i64, or as u64 above i64's range, and either is Kind::kInt.
 class Json {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -54,8 +55,8 @@ class Json {
   /// Typed accessors; throw ParseError naming the expected kind so batch
   /// request decoding reports "field X: expected string" style messages.
   bool as_bool() const;
-  i64 as_i64() const;
-  u64 as_u64() const;           ///< as_i64 plus a non-negative check
+  i64 as_i64() const;           ///< throws above i64's range
+  u64 as_u64() const;           ///< any non-negative integer
   double as_double() const;     ///< accepts kInt too
   const std::string& as_string() const;
   const Array& as_array() const;
@@ -81,7 +82,12 @@ class Json {
   explicit Json(Array a) : value_(std::move(a)) {}
   explicit Json(Object o) : value_(std::move(o)) {}
 
-  std::variant<std::nullptr_t, bool, i64, double, std::string, Array, Object>
+  void dump_to(std::string& out) const;
+
+  /// Alternatives 0..6 are the Kinds in order; the trailing u64 holds
+  /// integers above i64's range and is also Kind::kInt.
+  std::variant<std::nullptr_t, bool, i64, double, std::string, Array, Object,
+               u64>
       value_;
 };
 

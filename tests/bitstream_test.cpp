@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "bitstream/crc.hpp"
 #include "bitstream/frame_address.hpp"
 #include "bitstream/generator.hpp"
@@ -8,6 +13,7 @@
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace prcost {
 namespace {
@@ -81,6 +87,169 @@ TEST(Crc, ResetClears) {
   crc.update(ConfigReg::kFdri, 42);
   crc.reset();
   EXPECT_EQ(crc.value(), 0u);
+}
+
+// ------------------------------------------------------------ crc slices ---
+
+std::vector<CrcImpl> available_crc_impls() {
+  std::vector<CrcImpl> impls;
+  for (const CrcImpl impl :
+       {CrcImpl::kBitSerial, CrcImpl::kSliced, CrcImpl::kHwCrc32}) {
+    if (crc_impl_available(impl)) impls.push_back(impl);
+  }
+  return impls;
+}
+
+/// Restores the process-wide CRC dispatch when the test ends.
+struct CrcImplGuard {
+  CrcImpl saved = active_crc_impl();
+  ~CrcImplGuard() { set_crc_impl(saved); }
+};
+
+std::vector<u32> random_words(Rng& rng, std::size_t n) {
+  std::vector<u32> words(n);
+  for (u32& w : words) w = static_cast<u32>(rng());
+  return words;
+}
+
+/// A ConfigCrc and its bit-serial oracle driven to one random state by
+/// random writes to random registers.
+struct CrcPair {
+  ConfigCrc crc;
+  BitSerialConfigCrc oracle;
+
+  explicit CrcPair(Rng& rng) {
+    const u64 writes = 1 + rng() % 8;
+    for (u64 i = 0; i < writes; ++i) {
+      const auto reg = static_cast<ConfigReg>(rng() % 32);
+      const auto data = static_cast<u32>(rng());
+      crc.update(reg, data);
+      oracle.update(reg, data);
+    }
+  }
+
+  /// Absorb words [a, a + n): the pair's ConfigCrc through the
+  /// checkpoints and a shift, the oracle word by word.
+  void absorb(const CrcCheckpoints& cps, const std::vector<u32>& words,
+              std::size_t a, std::size_t n) {
+    crc.absorb_slice(cps.prefix(words, a), cps.prefix(words, a + n),
+                     CrcShift{n});
+    for (std::size_t i = a; i < a + n; ++i) {
+      oracle.update(ConfigReg::kFdri, words[i]);
+    }
+  }
+};
+
+TEST(CrcSlice, AbsorbSliceMatchesBitSerialOracle) {
+  const CrcImplGuard guard;
+  Rng rng{0x511CE};
+  const std::vector<u32> words = random_words(rng, 1000);
+  const std::array<std::size_t, 9> lengths{0, 1, 63, 64, 65, 127, 128, 129,
+                                           700};
+  const std::array<std::size_t, 8> offsets{0, 1, 62, 63, 64, 65, 128, 299};
+  for (const CrcImpl impl : available_crc_impls()) {
+    ASSERT_TRUE(set_crc_impl(impl));
+    CrcCheckpoints cps;
+    cps.extend(words);
+    EXPECT_EQ(cps.size(), 1 + words.size() / CrcCheckpoints::kStride);
+    for (const std::size_t n : lengths) {
+      for (const std::size_t a : offsets) {
+        CrcPair pair{rng};
+        pair.absorb(cps, words, a, n);
+        EXPECT_EQ(pair.crc.value(), pair.oracle.value())
+            << crc_impl_name(impl) << " a=" << a << " n=" << n;
+      }
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::size_t a = rng() % (words.size() + 1);
+      const std::size_t n = rng() % (words.size() - a + 1);
+      CrcPair pair{rng};
+      pair.absorb(cps, words, a, n);
+      EXPECT_EQ(pair.crc.value(), pair.oracle.value())
+          << crc_impl_name(impl) << " a=" << a << " n=" << n;
+    }
+  }
+}
+
+TEST(CrcSlice, ConsecutiveSlicesThreadTheState) {
+  // Bursts with register writes between them, as a stream absorbs them.
+  const CrcImplGuard guard;
+  Rng rng{0xB0057};
+  const std::vector<u32> words = random_words(rng, 2000);
+  for (const CrcImpl impl : available_crc_impls()) {
+    ASSERT_TRUE(set_crc_impl(impl));
+    CrcCheckpoints cps;
+    cps.extend(words);
+    CrcPair pair{rng};
+    std::size_t a = 0;
+    for (const std::size_t n : {41u, 41u, 369u, 0u, 64u, 1u, 1000u, 63u}) {
+      const auto far = static_cast<u32>(rng());
+      pair.crc.update(ConfigReg::kFar, far);
+      pair.oracle.update(ConfigReg::kFar, far);
+      pair.absorb(cps, words, a, n);
+      a += n;
+      EXPECT_EQ(pair.crc.value(), pair.oracle.value())
+          << crc_impl_name(impl) << " after " << a << " words";
+    }
+  }
+}
+
+TEST(CrcSlice, CheckpointsSurviveGrowth) {
+  // The tape grows to lengths that fall on and off the checkpoint stride;
+  // each grown snapshot copies the older checkpoints and extends them,
+  // and the older snapshot keeps answering for its own prefix.
+  const CrcImplGuard guard;
+  Rng rng{0x6A0};
+  const std::vector<u32> words = random_words(rng, 1500);
+  const std::span<const u32> all{words};
+  for (const CrcImpl impl : available_crc_impls()) {
+    ASSERT_TRUE(set_crc_impl(impl));
+    std::vector<CrcCheckpoints> snapshots{CrcCheckpoints{}};
+    std::vector<std::size_t> sizes{0};
+    for (const std::size_t size : {1u, 63u, 64u, 65u, 200u, 256u, 257u,
+                                   1000u, 1500u}) {
+      CrcCheckpoints grown = snapshots.back();
+      grown.extend(all.first(size));
+      snapshots.push_back(grown);
+      sizes.push_back(size);
+    }
+    for (std::size_t s = 0; s < snapshots.size(); ++s) {
+      const std::span<const u32> held = all.first(sizes[s]);
+      BitSerialConfigCrc oracle;
+      for (std::size_t i = 0; i <= held.size(); ++i) {
+        // From state 0 the slice [0, i) leaves exactly P_i.
+        ConfigCrc from_zero;
+        from_zero.absorb_slice(0, snapshots[s].prefix(held, i), CrcShift{});
+        ASSERT_EQ(from_zero.value(), oracle.value())
+            << crc_impl_name(impl) << " size=" << held.size() << " i=" << i;
+        if (i < held.size()) oracle.update(ConfigReg::kFdri, held[i]);
+      }
+    }
+    // Slices across the 200 -> 256 -> 257 growth steps, from the final
+    // snapshot.
+    for (const auto& [a, n] : {std::pair<std::size_t, std::size_t>{190, 20},
+                               {199, 58}, {255, 2}, {63, 900}, {999, 501}}) {
+      CrcPair pair{rng};
+      pair.absorb(snapshots.back(), words, a, n);
+      EXPECT_EQ(pair.crc.value(), pair.oracle.value())
+          << crc_impl_name(impl) << " a=" << a << " n=" << n;
+    }
+  }
+}
+
+TEST(CrcSlice, ContractChecks) {
+  Rng rng{0xC0};
+  const std::vector<u32> words = random_words(rng, 130);
+  CrcCheckpoints cps;
+  cps.extend(words);
+  EXPECT_EQ(cps.size(), 3u);
+  EXPECT_THROW((void)cps.prefix(words, 131), ContractError);
+  EXPECT_THROW(cps.extend(std::span<const u32>{words}.first(100)),
+               ContractError);
+  CrcCheckpoints short_cps;
+  short_cps.extend(std::span<const u32>{words}.first(10));
+  EXPECT_THROW((void)short_cps.prefix(words, 64), ContractError);
+  EXPECT_EQ(CrcShift{}(0xDEADBEEFu), 0xDEADBEEFu);  // the identity
 }
 
 // ------------------------------------------------------ header / trailer ---
@@ -274,6 +443,108 @@ TEST(Generator, ToBytesBigEndian) {
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(bytes[0], 0xAA);
   EXPECT_EQ(bytes[3], 0x66);
+}
+
+/// Bit-serial replica of the generator: its own payload Rng, word-at-a-
+/// time output and BitSerialConfigCrc, sharing neither the payload tape
+/// nor the span kernels with the code under test.
+std::vector<u32> oracle_stream(const PrrPlan& plan, Family family,
+                               const GeneratorOptions& options) {
+  const FamilyTraits& t = traits(family);
+  const u32 idcode = default_idcode(family);
+  std::vector<u32> out = header_words(family, idcode);
+  BitSerialConfigCrc crc;
+  crc.update(ConfigReg::kIdcode, idcode);
+  crc.update(ConfigReg::kCmd, static_cast<u32>(ConfigCmd::kWcfg));
+  crc.update(ConfigReg::kMask, 0);
+  if (family == Family::kVirtex6 || family == Family::kSeries7) {
+    crc.update(ConfigReg::kCtl0, 0);
+  }
+  Rng payload{options.payload_seed};
+  const auto draw = [&]() -> u32 {
+    switch (options.payload) {
+      case PayloadKind::kRandom: return static_cast<u32>(payload());
+      case PayloadKind::kZeros: return 0;
+      case PayloadKind::kSparse:
+        return payload.chance(options.sparse_density)
+                   ? static_cast<u32>(payload())
+                   : 0u;
+    }
+    return 0;
+  };
+  const ColumnDemand& c = plan.organization.columns;
+  const u64 cfg_words = (u64{c.clb_cols} * t.cf_clb + u64{c.dsp_cols} *
+                         t.cf_dsp + u64{c.bram_cols} * t.cf_bram + 1) *
+                        t.frame_size;
+  const u64 bram_words =
+      c.bram_cols > 0 ? (u64{c.bram_cols} * t.df_bram + 1) * t.frame_size : 0;
+  const auto burst = [&](FrameBlock block, u32 row, u64 n) {
+    out.push_back(cfg::kNoop);
+    const u32 far =
+        encode_far(FrameAddress{block, row, plan.window.first_col, 0});
+    out.push_back(type1(PacketOp::kWrite, ConfigReg::kFar, 1));
+    out.push_back(far);
+    crc.update(ConfigReg::kFar, far);
+    out.push_back(type1(PacketOp::kWrite, ConfigReg::kFdri, 0));
+    out.push_back(type2(PacketOp::kWrite, static_cast<u32>(n)));
+    for (u64 i = 0; i < n; ++i) {
+      const u32 word = draw();
+      out.push_back(word);
+      crc.update(ConfigReg::kFdri, word);
+    }
+  };
+  for (u32 row = 0; row < plan.organization.h; ++row) {
+    burst(FrameBlock::kInterconnect, plan.first_row + row, cfg_words);
+    if (bram_words > 0) {
+      burst(FrameBlock::kBramContent, plan.first_row + row, bram_words);
+    }
+  }
+  crc.update(ConfigReg::kCmd, static_cast<u32>(ConfigCmd::kLfrm));
+  append_trailer_words(out, family, crc.value());
+  return out;
+}
+
+PrrPlan v5_plan(u32 h, ColumnDemand cols) {
+  PrrPlan p;
+  p.organization = PrrOrganization{h, cols};
+  p.window = ColumnWindow{10, cols.width()};
+  p.first_row = 1;
+  return p;
+}
+
+TEST(Generator, TapeGrownFreshAndTapelessStreamsMatchOracle) {
+  // Seed 0x7A9E01 grows its tape from a small stream to a large one; seed
+  // 0x7A9E02 starts with the large one. Eleven more option sets then take
+  // every tape slot, so seed 0x7A9E0F draws its words without a tape.
+  // Every stream must equal the bit-serial oracle under every CRC
+  // implementation, whichever one recorded the tape's checkpoints.
+  const CrcImplGuard guard;
+  const PrrPlan small = v5_plan(1, {2, 0, 1});
+  const PrrPlan large = v5_plan(4, {8, 1, 2});
+  const auto opts = [](u64 seed, PayloadKind kind = PayloadKind::kSparse) {
+    GeneratorOptions o;
+    o.payload = kind;
+    o.payload_seed = seed;
+    return o;
+  };
+  const auto check = [&](const PrrPlan& plan, const GeneratorOptions& o,
+                         const char* what) {
+    const std::vector<u32> want = oracle_stream(plan, Family::kVirtex5, o);
+    for (const CrcImpl impl : available_crc_impls()) {
+      ASSERT_TRUE(set_crc_impl(impl));
+      EXPECT_EQ(generate_bitstream(plan, Family::kVirtex5, o), want)
+          << what << " under " << crc_impl_name(impl);
+    }
+  };
+  check(small, opts(0x7A9E01), "small, fresh tape");
+  check(large, opts(0x7A9E01), "large, grown tape");
+  check(large, opts(0x7A9E02), "large, fresh tape");
+  for (u64 seed = 0x7A9E03; seed < 0x7A9E0E; ++seed) {
+    (void)generate_bitstream(small, Family::kVirtex5, opts(seed));
+  }
+  check(large, opts(0x7A9E0F), "large, no tape");
+  check(large, opts(0x7A9E0F, PayloadKind::kRandom), "random, no tape");
+  check(large, opts(0x7A9E0F, PayloadKind::kZeros), "zeros");
 }
 
 TEST(Generator, EmptyPlanThrows) {

@@ -262,10 +262,73 @@ TEST(Serialize, CellLineErrorsKeepTheirOrder) {
   EXPECT_EQ(parse_error("netlist t\ncell WAT x 0 0 | | y\n"),
             "netlist: unknown cell kind 'WAT'");
   // Every '|' after the first switches to outputs, so extra bars are
-  // ignored.
+  // ignored. (CARRY has no fixed pin counts; an INPUT must have one
+  // output.)
   const Netlist nl =
-      netlist_from_text("netlist t\ncell INPUT a 0 0 | | | x | y\n");
+      netlist_from_text("netlist t\ncell CARRY a 0 0 | | | x | y\n");
   EXPECT_EQ(nl.cell(CellId{0}).outputs.size(), 2u);
+}
+
+TEST(Serialize, PinCountsAreCheckedPerKind) {
+  const std::string head = "netlist t\ncell INPUT a 0 0 | | x\n";
+  EXPECT_EQ(parse_error(head + "cell FF f 0 0 | | q\n"),
+            "netlist: cell 'f' (FF) takes 1..2 inputs and 1 outputs, not 0 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell FF f 0 0 | x x x | q\n"),
+            "netlist: cell 'f' (FF) takes 1..2 inputs and 1 outputs, not 3 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell OUTPUT o 0 0 | |\n"),
+            "netlist: cell 'o' (OUTPUT) takes 1 inputs and 0 outputs, not 0 "
+            "and 0");
+  EXPECT_EQ(parse_error(head + "cell OUTPUT o 0 0 | x | y\n"),
+            "netlist: cell 'o' (OUTPUT) takes 1 inputs and 0 outputs, not 1 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell INPUT b 0 0 | x | y\n"),
+            "netlist: cell 'b' (INPUT) takes 0 inputs and 1 outputs, not 1 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell CONST0 c 0 0 | |\n"),
+            "netlist: cell 'c' (CONST0) takes 0 inputs and 1 outputs, not 0 "
+            "and 0");
+  EXPECT_EQ(parse_error(head + "cell LUT l 2 0 | | y\n"),
+            "netlist: cell 'l' (LUT) takes 1..6 inputs and 1 outputs, not 0 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell LUT l 2 0 | x x x x x x x | y\n"),
+            "netlist: cell 'l' (LUT) takes 1..6 inputs and 1 outputs, not 7 "
+            "and 1");
+  EXPECT_EQ(parse_error(head + "cell LUT l 2 0 | x | y z\n"),
+            "netlist: cell 'l' (LUT) takes 1..6 inputs and 1 outputs, not 1 "
+            "and 2");
+  // Each bound reads, unconnected pins included; kinds without a rule
+  // take any pins.
+  for (const char* line :
+       {"cell LUT l 2 0 | x x x x x x | y\n", "cell FF f 0 1 | x - | q\n",
+        "cell FF f 0 0 | - | q\n", "cell CARRY k 0 0 | | \n",
+        "cell DSP48 d 1 0 | x x x | p\n", "cell BRAM18 r 16 8 | | \n"}) {
+    EXPECT_EQ(parse_error(head + line), "") << line;
+  }
+}
+
+TEST(Serialize, MacroWidthsAndRamSizesAreChecked) {
+  const std::string head = "netlist t\ncell INPUT a 0 0 | | x\n";
+  const std::string widths = "needs operand widths in 1..2^63-1";
+  EXPECT_EQ(parse_error(head + "cell MUL m 0 5 | | q\n"),
+            "netlist: cell 'm' (MUL) " + widths);
+  EXPECT_EQ(parse_error(head + "cell MUL m 5 0 | x | q\n"),
+            "netlist: cell 'm' (MUL) " + widths);
+  EXPECT_EQ(parse_error(head + "cell MULACC m 0 3 | x | q\n"),
+            "netlist: cell 'm' (MULACC) " + widths);
+  // The top width bit is the mapper's pre-adder mark.
+  EXPECT_EQ(parse_error(head + "cell MUL m 9223372036854775808 1 | | q\n"),
+            "netlist: cell 'm' (MUL) " + widths);
+  EXPECT_EQ(parse_error(head + "cell RAM r 0 8 | x | q\n"),
+            "netlist: cell 'r' (RAM) needs a nonzero depth and width");
+  EXPECT_EQ(parse_error(head + "cell RAM r 16 0 | x | q\n"),
+            "netlist: cell 'r' (RAM) needs a nonzero depth and width");
+  // Widths past the mapper's primitive ceiling still read; the mapper
+  // refuses them by name.
+  EXPECT_EQ(parse_error(head + "cell MUL m 9223372036854775807 1 | | q\n"),
+            "");
+  EXPECT_EQ(parse_error(head + "cell RAM r 1 1 | x x x | q\n"), "");
 }
 
 /// One deterministic damage of `text`: truncate, flip a byte, splice a run

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/ints.hpp"
+#include "util/json.hpp"
 #include "util/lines.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -130,6 +132,38 @@ TEST(ParseU64, ErrorsNameTheOffendingToken) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string{e.what()}.find("'12x'"), std::string::npos);
   }
+}
+
+TEST(JsonU64, FullRangeRoundTripsExactly) {
+  constexpr u64 kMax = std::numeric_limits<u64>::max();
+  constexpr u64 kI64Max = std::numeric_limits<i64>::max();
+  for (const u64 v : {u64{0}, kI64Max, kI64Max + 1, kMax - 1, kMax}) {
+    const Json built{v};
+    EXPECT_EQ(built.kind(), Json::Kind::kInt) << v;
+    EXPECT_EQ(built.as_u64(), v);
+    EXPECT_EQ(built.dump(), std::to_string(v));
+    const Json parsed = Json::parse(std::to_string(v));
+    EXPECT_EQ(parsed.kind(), Json::Kind::kInt) << v;
+    EXPECT_EQ(parsed.as_u64(), v);
+    EXPECT_EQ(parsed.dump(), std::to_string(v));
+  }
+  const Json seed = Json::parse(R"({"seed":18446744073709551615})");
+  EXPECT_EQ(seed.find("seed")->as_u64(), kMax);
+  EXPECT_EQ(seed.dump(), R"({"seed":18446744073709551615})");
+}
+
+TEST(JsonU64, AboveI64IsNotAnI64AndBeyondU64IsADouble) {
+  const Json big = Json::parse("9223372036854775808");
+  EXPECT_THROW((void)big.as_i64(), ParseError);
+  EXPECT_DOUBLE_EQ(big.as_double(), 9223372036854775808.0);
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_i64(),
+            std::numeric_limits<i64>::min());
+  EXPECT_THROW((void)Json::parse("-1").as_u64(), ParseError);
+  // Past u64 an integer token degrades to a double, as before.
+  const Json huge = Json::parse("18446744073709551616");
+  EXPECT_EQ(huge.kind(), Json::Kind::kDouble);
+  EXPECT_THROW((void)huge.as_u64(), ParseError);
+  EXPECT_EQ(Json::parse("-9223372036854775809").kind(), Json::Kind::kDouble);
 }
 
 TEST(ParseDouble, Valid) {

@@ -95,4 +95,38 @@ if(NOT out MATCHES "\"code\":\"parse\"" OR NOT out MATCHES "cell 'm'")
   message(FATAL_ERROR "synth on a huge MUL netlist: bad response: ${out}")
 endif()
 
+# Netlist lines synthesis cannot take are parse failures naming the cell:
+# an FF without its D pin (synthesis reads pin 0) and a zero-width MUL
+# (the mapper sizes it from its widths).
+set(no_d_ff ${WORK}/exit_codes_no_d_ff.net)
+file(WRITE ${no_d_ff}
+  "netlist t\ncell FF f 0 0 | | q\ncell OUTPUT o 0 0 | q |\n")
+execute_process(COMMAND ${CLI} plan --device xc6vlx240t --netlist
+                ${no_d_ff} RESULT_VARIABLE rc ERROR_VARIABLE err
+                OUTPUT_QUIET TIMEOUT 20)
+expect_rc(${rc} 1 "plan on an FF without inputs")
+if(NOT err MATCHES "cell 'f' \\(FF\\)" OR err MATCHES "usage:")
+  message(FATAL_ERROR "plan on an FF without inputs: bad diagnostics: ${err}")
+endif()
+set(zero_mul ${WORK}/exit_codes_zero_mul.net)
+file(WRITE ${zero_mul} "netlist t\ncell MUL m 0 5 | | q\n")
+execute_process(COMMAND ${CLI} plan --device xc6vlx240t --netlist
+                ${zero_mul} RESULT_VARIABLE rc ERROR_VARIABLE err
+                OUTPUT_QUIET TIMEOUT 20)
+expect_rc(${rc} 1 "plan on a zero-width MUL")
+if(NOT err MATCHES "cell 'm' \\(MUL\\)" OR err MATCHES "usage:")
+  message(FATAL_ERROR "plan on a zero-width MUL: bad diagnostics: ${err}")
+endif()
+set(bad_netlists_batch ${WORK}/exit_codes_bad_netlists.jsonl)
+file(WRITE ${bad_netlists_batch}
+  "{\"op\":\"synth\",\"netlist\":\"${no_d_ff}\"}\n"
+  "{\"op\":\"synth\",\"netlist\":\"${zero_mul}\"}\n")
+execute_process(COMMAND ${CLI} batch ${bad_netlists_batch} RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_QUIET TIMEOUT 20)
+string(REGEX MATCHALL "\"code\":\"parse\"" parse_codes "${out}")
+list(LENGTH parse_codes parse_count)
+if(NOT parse_count EQUAL 2 OR out MATCHES "\"code\":\"contract\"")
+  message(FATAL_ERROR "synth on bad netlists: want two parse codes: ${out}")
+endif()
+
 message(STATUS "exit-code contract holds")
