@@ -200,7 +200,6 @@ int main(int argc, char** argv) {
   // ---- built-in verification: all paths byte-identical ------------------
   bool identical = crc_matches_oracle();
   u64 words_per_pass = 0;
-  set_bitstream_cache_enabled(true);
   bitstream_cache_clear();
   for (const PrrPlan& plan : plans) {
     const std::vector<u32> baseline = bit_serial_generate(plan, family);

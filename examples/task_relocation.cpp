@@ -35,8 +35,8 @@ int main() {
   // Find a compatible, disjoint destination PRR.
   ColumnWindow dst{};
   bool found = false;
-  for (const ColumnWindow& w :
-       device.fabric.find_all_windows(plan->organization.columns)) {
+  const auto windows = device.fabric.exact_windows(plan->organization.columns);
+  for (const ColumnWindow& w : *windows) {
     if (w.first_col >= plan->window.first_col + plan->window.width &&
         windows_compatible(device.fabric, plan->window, w)) {
       dst = w;

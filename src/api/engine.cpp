@@ -529,11 +529,9 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   config.prefetch_rate_hz = request.prefetch_rate_hz;
   config.cpu_workers = request.cpu_workers;
   config.cpu_slowdown = request.cpu_slowdown;
-  if (bitstream_cache_enabled()) {
-    config.prefetch_hook = [&plans, family](u32 prm) {
-      generate_bitstream_cached(plans[prm], family);
-    };
-  }
+  config.prefetch_hook = [&plans, family](u32 prm) {
+    generate_bitstream_cached(plans[prm], family);
+  };
   const sched::Report report = sched::run(prms, tasks, config);
   check_deadline("schedule.run");
 

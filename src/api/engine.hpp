@@ -7,9 +7,9 @@
 // JSONL batch and serve front-ends (all through the op table, api/ops.hpp),
 // and embedding consumers (partitioners, schedulers, services) all go through
 // the same nine calls, so device lookup, synthesis-report loading, and
-// error mapping live in exactly one place. The process-wide plan and
-// bitstream caches are switched with set_plan_cache_enabled /
-// set_bitstream_cache_enabled; constructing an Engine leaves them as set.
+// error mapping live in exactly one place. The process-wide plan cache is
+// switched with set_plan_cache_enabled; constructing an Engine leaves it as
+// set. The bitstream cache is always on.
 //
 // Failures are reported through the structured taxonomy in
 // util/error.hpp: UsageError for malformed requests, NotFoundError for

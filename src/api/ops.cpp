@@ -91,6 +91,9 @@ int render_synth(const SynthResponse& response, const Json& request,
   if (const Json* path = request.find("out")) {
     std::ofstream file{path->as_string()};
     file << text;
+    if (!file.flush()) {
+      throw IoError{"cannot write output file '" + path->as_string() + "'"};
+    }
     out << "wrote " << path->as_string() << '\n';
   } else {
     out << text;
@@ -157,6 +160,9 @@ int render_bitstream(const BitstreamResponse& response, const Json& request,
     std::ofstream file{path->as_string(), std::ios::binary};
     file.write(reinterpret_cast<const char*>(bytes.data()),
                static_cast<std::streamsize>(bytes.size()));
+    if (!file.flush()) {
+      throw IoError{"cannot write output file '" + path->as_string() + "'"};
+    }
     out << "wrote " << bytes.size() << " bytes to " << path->as_string()
         << '\n';
   }

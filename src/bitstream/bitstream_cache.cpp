@@ -138,20 +138,8 @@ std::size_t bitstream_cache_load(const std::string& path) {
   });
 }
 
-bool bitstream_cache_enabled() noexcept {
-  return Cache::instance().enabled();
-}
-
-void set_bitstream_cache_enabled(bool on) noexcept {
-  Cache::instance().set_enabled(on);
-}
-
 std::shared_ptr<const std::vector<u32>> generate_bitstream_cached(
     const PrrPlan& plan, Family family, const GeneratorOptions& options) {
-  if (!bitstream_cache_enabled()) {
-    return std::make_shared<const std::vector<u32>>(
-        generate_bitstream(plan, family, options));
-  }
   const Key key = key_of(plan, family, options);
   if (Words words = Cache::instance().lookup(key)) return words;
   auto words = std::make_shared<const std::vector<u32>>(

@@ -9,14 +9,12 @@
 // column window, and first row pin the burst layout - so the words are
 // memoized process-wide in a util/ShardedCache, the one behind the plan
 // cache: 8 shards, and a small default cap because entries are whole
-// bitstreams. A hit is byte-identical to a fresh generation, so results
-// with the cache disabled match results with it enabled.
+// bitstreams. A hit is byte-identical to a fresh generation.
 //
 // Hit/miss/eviction counts are exported through the obs metrics registry
 // ("bitstream_cache.hits" / ".misses" / ".evictions", gauges ".entries"
 // and ".resident_words") and through bitstream_cache_stats() for callers
-// that keep metrics off. set_bitstream_cache_enabled(false) is the escape
-// hatch.
+// that keep metrics off.
 #pragma once
 
 #include <memory>
@@ -26,10 +24,6 @@
 #include "bitstream/generator.hpp"
 
 namespace prcost {
-
-/// Global switch, default on. Checked by generate_bitstream_cached.
-bool bitstream_cache_enabled() noexcept;
-void set_bitstream_cache_enabled(bool on) noexcept;
 
 /// Point-in-time cache counters (process lifetime, not reset by clear()).
 struct BitstreamCacheStats {
@@ -41,8 +35,7 @@ struct BitstreamCacheStats {
 };
 
 /// Memoized generate_bitstream. The returned vector is shared and
-/// immutable; on a hit no generation (and no copy) happens. With the
-/// cache disabled this is a plain compute returning a fresh vector.
+/// immutable; on a hit no generation (and no copy) happens.
 std::shared_ptr<const std::vector<u32>> generate_bitstream_cached(
     const PrrPlan& plan, Family family, const GeneratorOptions& options = {});
 

@@ -355,9 +355,9 @@ std::vector<u32> generate_bitstream(const PrrPlan& plan, Family family,
   return out;
 }
 
-void generate_shaped_bitstream_into(std::vector<u32>& out,
-                                    const ShapedPrr& shape, Family family,
-                                    const GeneratorOptions& options) {
+std::vector<u32> generate_shaped_bitstream(const ShapedPrr& shape,
+                                           Family family,
+                                           const GeneratorOptions& options) {
   PRCOST_TRACE_SPAN("bitstream_gen_shaped");
   const FamilyTraits& t = traits(family);
   if (shape.bands.empty()) {
@@ -366,7 +366,7 @@ void generate_shaped_bitstream_into(std::vector<u32>& out,
   const u32 idcode = resolve_idcode(options, family);
 
   const u64 total_words = estimate_shaped_bitstream(shape, t).total_words;
-  out.clear();
+  std::vector<u32> out;
   out.reserve(static_cast<std::size_t>(total_words));
 
   ConfigCrc crc = begin_stream(out, family, idcode);
@@ -389,18 +389,11 @@ void generate_shaped_bitstream_into(std::vector<u32>& out,
     throw ContractError{"generate_shaped_bitstream: size model mismatch"};
   }
   count_generated(out);
-}
-
-std::vector<u32> generate_shaped_bitstream(const ShapedPrr& shape,
-                                           Family family,
-                                           const GeneratorOptions& options) {
-  std::vector<u32> out;
-  generate_shaped_bitstream_into(out, shape, family, options);
   return out;
 }
 
-void generate_full_bitstream_into(std::vector<u32>& out, const Fabric& fabric,
-                                  const GeneratorOptions& options) {
+std::vector<u32> generate_full_bitstream(const Fabric& fabric,
+                                         const GeneratorOptions& options) {
   PRCOST_TRACE_SPAN("bitstream_gen_full");
   const Family family = fabric.family();
   const FamilyTraits& t = traits(family);
@@ -419,7 +412,7 @@ void generate_full_bitstream_into(std::vector<u32>& out, const Fabric& fabric,
       t.far_fdri + words.cfg + (bram_cols > 0 ? t.far_fdri + words.bram : 0);
   const u64 total_words =
       t.iw + checked_mul(fabric.rows(), row_total) + t.fw;
-  out.clear();
+  std::vector<u32> out;
   out.reserve(static_cast<std::size_t>(total_words));
 
   ConfigCrc crc = begin_stream(out, family, idcode);
@@ -433,12 +426,6 @@ void generate_full_bitstream_into(std::vector<u32>& out, const Fabric& fabric,
     throw ContractError{"generate_full_bitstream: size model mismatch"};
   }
   count_generated(out);
-}
-
-std::vector<u32> generate_full_bitstream(const Fabric& fabric,
-                                         const GeneratorOptions& options) {
-  std::vector<u32> out;
-  generate_full_bitstream_into(out, fabric, options);
   return out;
 }
 

@@ -94,11 +94,6 @@ std::vector<u32> generate_shaped_bitstream(const ShapedPrr& shape,
                                            Family family,
                                            const GeneratorOptions& options = {});
 
-/// Buffer-reusing variant of generate_shaped_bitstream.
-void generate_shaped_bitstream_into(std::vector<u32>& out,
-                                    const ShapedPrr& shape, Family family,
-                                    const GeneratorOptions& options = {});
-
 /// Generate a FULL configuration bitstream for the whole fabric (every
 /// column of every row, including IOB and clock columns, plus all BRAM
 /// initialization) - the non-PR baseline artifact. Its byte size equals
@@ -106,10 +101,6 @@ void generate_shaped_bitstream_into(std::vector<u32>& out,
 /// model-vs-artifact loop Eq. (18) has for partial bitstreams.
 std::vector<u32> generate_full_bitstream(const Fabric& fabric,
                                          const GeneratorOptions& options = {});
-
-/// Buffer-reusing variant of generate_full_bitstream.
-void generate_full_bitstream_into(std::vector<u32>& out, const Fabric& fabric,
-                                  const GeneratorOptions& options = {});
 
 /// Default IDCODE per family (synthetic but stable).
 u32 default_idcode(Family family);

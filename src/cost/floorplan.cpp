@@ -61,8 +61,9 @@ std::optional<PlacedPrr> Floorplanner::place(const std::string& name,
 
   // Pass 1: exact column composition (the paper's Fig. 1 semantics).
   for (const PrrPlan& candidate : *candidates) {
-    for (const ColumnWindow& window :
-         fabric_->find_all_windows(candidate.organization.columns)) {
+    const auto windows =
+        fabric_->exact_windows(candidate.organization.columns);
+    for (const ColumnWindow& window : *windows) {
       if (auto placed = try_place(candidate, window)) return placed;
     }
   }
@@ -86,8 +87,9 @@ std::optional<PlacedPrr> Floorplanner::place(const std::string& name,
   for (const PrrPlan& candidate : *candidates) {
     for (u32 width = candidate.organization.width();
          width <= fabric_->num_columns(); ++width) {
-      for (const ColumnWindow& window : fabric_->find_all_windows_superset(
-               candidate.organization.columns, width)) {
+      const auto windows =
+          fabric_->superset_windows(candidate.organization.columns, width);
+      for (const ColumnWindow& window : *windows) {
         PrrPlan widened = candidate;
         widened.organization.columns = fabric_->window_composition(window);
         widened.available =

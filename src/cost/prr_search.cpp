@@ -141,17 +141,15 @@ std::vector<PrrPlan> placement_candidates_uncached(const PrmRequirements& req,
 std::vector<PrrPlan> widen_candidates(const std::vector<PrrPlan>& candidates,
                                       const PrmRequirements& req,
                                       const Fabric& fabric) {
-  // Same arena staging as placement_candidates_uncached, and the memoized
-  // superset-window lists are iterated shared (no per-(candidate, width)
-  // vector copy).
+  // Same arena staging as placement_candidates_uncached.
   ScratchScope scratch;
   std::vector<PrrPlan, ArenaAllocator<PrrPlan>> widened{
       ArenaAllocator<PrrPlan>{scratch.arena()}};
   for (const PrrPlan& candidate : candidates) {
     for (u32 width = candidate.organization.width();
          width <= fabric.num_columns(); ++width) {
-      const auto windows = fabric.superset_windows_shared(
-          candidate.organization.columns, width);
+      const auto windows =
+          fabric.superset_windows(candidate.organization.columns, width);
       for (const ColumnWindow& window : *windows) {
         PrrPlan plan = candidate;
         plan.window = window;

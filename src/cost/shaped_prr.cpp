@@ -71,11 +71,11 @@ bool windows_overlap(const ColumnWindow& a, const ColumnWindow& b) {
 /// First pair of (window for a, window for b) that overlap in columns.
 std::optional<std::pair<ColumnWindow, ColumnWindow>> overlapping_pair(
     const Fabric& fabric, const ColumnDemand& a, const ColumnDemand& b) {
-  const auto windows_a = fabric.find_all_windows(a);
-  if (windows_a.empty()) return std::nullopt;
-  const auto windows_b = fabric.find_all_windows(b);
-  for (const ColumnWindow& wa : windows_a) {
-    for (const ColumnWindow& wb : windows_b) {
+  const auto windows_a = fabric.exact_windows(a);
+  if (windows_a->empty()) return std::nullopt;
+  const auto windows_b = fabric.exact_windows(b);
+  for (const ColumnWindow& wa : *windows_a) {
+    for (const ColumnWindow& wb : *windows_b) {
       if (windows_overlap(wa, wb)) return std::make_pair(wa, wb);
     }
   }

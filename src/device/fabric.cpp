@@ -187,30 +187,11 @@ std::shared_ptr<const std::vector<ColumnWindow>> Fabric::superset_windows(
   return windows;
 }
 
-std::vector<ColumnWindow> Fabric::find_all_windows(
-    const ColumnDemand& demand) const {
-  return *exact_windows(demand);
-}
-
 std::optional<ColumnWindow> Fabric::find_window(
     const ColumnDemand& demand) const {
   const auto windows = exact_windows(demand);
   if (windows->empty()) return std::nullopt;
   return windows->front();
-}
-
-std::vector<ColumnWindow> Fabric::find_all_windows_superset(
-    const ColumnDemand& demand, u32 width) const {
-  return *superset_windows(demand, width);
-}
-
-std::optional<ColumnWindow> Fabric::find_window_superset(
-    const ColumnDemand& demand) const {
-  for (u32 width = demand.width(); width <= num_columns(); ++width) {
-    const auto windows = superset_windows(demand, width);
-    if (!windows->empty()) return windows->front();
-  }
-  return std::nullopt;
 }
 
 ColumnDemand Fabric::window_composition(const ColumnWindow& window) const {

@@ -91,36 +91,21 @@ class Fabric {
   /// exists anywhere on the fabric.
   std::optional<ColumnWindow> find_window(const ColumnDemand& demand) const;
 
-  /// All windows matching `demand` (left-most first); used by the
-  /// multi-PRR floorplanner to try alternatives.
-  std::vector<ColumnWindow> find_all_windows(const ColumnDemand& demand) const;
-
-  /// Relaxed search: the smallest (then left-most) window containing AT
-  /// LEAST the demanded number of columns per type and no IOB/CLK columns;
-  /// surplus PR-capable columns are allowed (they become internal
-  /// fragmentation the PRM never uses but the bitstream must still carry).
-  /// Real PR floorplans accept this when no exact-composition span exists.
-  std::optional<ColumnWindow> find_window_superset(
+  /// All windows matching `demand` exactly (left-most first); the
+  /// multi-PRR floorplanner tries them in order. Memoized: one scan per
+  /// distinct demand, then a hash hit. The list is immutable and shared;
+  /// hold the pointer while iterating.
+  std::shared_ptr<const std::vector<ColumnWindow>> exact_windows(
       const ColumnDemand& demand) const;
 
-  /// All superset windows of exactly `width` (left-most first).
-  std::vector<ColumnWindow> find_all_windows_superset(
+  /// Relaxed search: all windows of exactly `width` columns (left-most
+  /// first) that contain AT LEAST the demanded number of columns per type
+  /// and no IOB/CLK columns. Surplus PR-capable columns become internal
+  /// fragmentation the PRM never uses but the bitstream must still carry;
+  /// real PR floorplans accept this when no exact-composition span exists.
+  /// Memoized and shared like exact_windows.
+  std::shared_ptr<const std::vector<ColumnWindow>> superset_windows(
       const ColumnDemand& demand, u32 width) const;
-
-  /// Shared, immutable view of the memoized superset-window list for one
-  /// (demand, width). Same contents as find_all_windows_superset without
-  /// the per-call copy; the hot widening loop in src/cost iterates this.
-  std::shared_ptr<const std::vector<ColumnWindow>> superset_windows_shared(
-      const ColumnDemand& demand, u32 width) const {
-    return superset_windows(demand, width);
-  }
-
-  /// Shared, immutable view of the memoized exact-window list (the
-  /// find_all_windows contents without the per-call copy).
-  std::shared_ptr<const std::vector<ColumnWindow>> exact_windows_shared(
-      const ColumnDemand& demand) const {
-    return exact_windows(demand);
-  }
 
   /// The column-type composition of a window as a ColumnDemand. O(1) via
   /// the per-position prefix sums.
@@ -148,12 +133,6 @@ class Fabric {
   std::vector<ColumnWindow> scan_windows_exact(const ColumnDemand& demand) const;
   std::vector<ColumnWindow> scan_windows_superset(const ColumnDemand& demand,
                                                   u32 width) const;
-  /// Memoized lookups: one scan per distinct demand (/width), then hash
-  /// hits. The returned vector is owned by the index and immutable.
-  std::shared_ptr<const std::vector<ColumnWindow>> exact_windows(
-      const ColumnDemand& demand) const;
-  std::shared_ptr<const std::vector<ColumnWindow>> superset_windows(
-      const ColumnDemand& demand, u32 width) const;
 
   Family family_;
   const FamilyTraits* traits_;

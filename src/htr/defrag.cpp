@@ -24,9 +24,9 @@ u64 plan_compaction(Floorplanner& floorplanner, const Fabric& fabric,
       // Candidate targets: identical-sequence windows, left-to-right,
       // bottom-up; take the first strictly "earlier" free one.
       bool moved = false;
-      for (const ColumnWindow& window :
-           fabric.find_all_windows_superset(composition,
-                                            placed.plan.window.width)) {
+      const auto windows =
+          fabric.superset_windows(composition, placed.plan.window.width);
+      for (const ColumnWindow& window : *windows) {
         if (!windows_compatible(fabric, placed.plan.window, window)) continue;
         for (u32 row = 0;
              row + placed.plan.organization.h <= fabric.rows(); ++row) {

@@ -1,5 +1,6 @@
 #include "htr/relocation.hpp"
 
+#include "cost/bitstream_model.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
@@ -68,21 +69,12 @@ ContextCost context_cost(const PrrOrganization& org, const FamilyTraits& t) {
   }
   // Readback returns the same frame payloads the partial bitstream writes
   // (config frames + BRAM content), plus one pipeline frame per burst and
-  // a FAR/FDRO command group per row - mirroring Eqs. (19)/(23) on the
-  // read path.
-  const u64 cfg_frames = u64{org.columns.clb_cols} * t.cf_clb +
-                         u64{org.columns.dsp_cols} * t.cf_dsp +
-                         u64{org.columns.bram_cols} * t.cf_bram;
-  const u64 cfg_words_row =
-      t.far_fdri + (cfg_frames + 1) * u64{t.frame_size};
-  const u64 bram_words_row =
-      org.columns.bram_cols > 0
-          ? t.far_fdri +
-                (u64{org.columns.bram_cols} * t.df_bram + 1) * t.frame_size
-          : 0;
+  // a FAR/FDRO command group per row: the Eq. (18) rows term, without the
+  // sync header and trailer.
+  const BitstreamEstimate e = estimate_bitstream(org, t);
   ContextCost cost;
-  cost.save_bytes =
-      (org.h * (cfg_words_row + bram_words_row)) * u64{t.bytes_word};
+  cost.save_bytes = checked_mul(
+      e.total_words - e.initial_words - e.final_words, t.bytes_word);
   // Restore re-writes the same frames plus the GRESTORE/GCAPTURE command
   // packets (folded into the per-row group already).
   cost.restore_bytes = cost.save_bytes;

@@ -38,16 +38,6 @@ NetId LogicBuilder::lxor(NetId a, NetId b) {
   return nl_.lut(tt::kXor2, ins);
 }
 
-NetId LogicBuilder::lxnor(NetId a, NetId b) {
-  const NetId ins[] = {a, b};
-  return nl_.lut(tt::kXnor2, ins);
-}
-
-NetId LogicBuilder::land3(NetId a, NetId b, NetId c) {
-  const NetId ins[] = {a, b, c};
-  return nl_.lut(tt::kAnd3, ins);
-}
-
 NetId LogicBuilder::lor3(NetId a, NetId b, NetId c) {
   const NetId ins[] = {a, b, c};
   return nl_.lut(tt::kOr3, ins);

@@ -20,11 +20,9 @@ inline constexpr u64 kOr2 = 0xE;        // 2 inputs
 inline constexpr u64 kXor2 = 0x6;       // 2 inputs
 inline constexpr u64 kNand2 = 0x7;      // 2 inputs
 inline constexpr u64 kNor2 = 0x1;       // 2 inputs
-inline constexpr u64 kXnor2 = 0x9;      // 2 inputs
 inline constexpr u64 kMux2 = 0xE4;      // 3 inputs: (sel, a, b) -> sel?b:a
 inline constexpr u64 kSum3 = 0x96;      // 3 inputs: full-adder sum (parity)
 inline constexpr u64 kMaj3 = 0xE8;      // 3 inputs: full-adder carry
-inline constexpr u64 kAnd3 = 0x80;      // 3 inputs
 inline constexpr u64 kOr3 = 0xFE;       // 3 inputs
 inline constexpr u64 kXor3 = 0x96;      // 3 inputs
 
@@ -47,8 +45,6 @@ class LogicBuilder {
   NetId land(NetId a, NetId b);
   NetId lor(NetId a, NetId b);
   NetId lxor(NetId a, NetId b);
-  NetId lxnor(NetId a, NetId b);
-  NetId land3(NetId a, NetId b, NetId c);
   NetId lor3(NetId a, NetId b, NetId c);
   /// 2:1 mux: sel ? b : a.
   NetId mux2(NetId sel, NetId a, NetId b);

@@ -25,8 +25,9 @@ std::vector<RelocationTarget> Layout::relocation_targets(
   const ColumnDemand composition =
       fabric_->window_composition(placed.plan.window);
   const u32 h = placed.plan.organization.h;
-  for (const ColumnWindow& window : fabric_->find_all_windows_superset(
-           composition, placed.plan.window.width)) {
+  const auto windows =
+      fabric_->superset_windows(composition, placed.plan.window.width);
+  for (const ColumnWindow& window : *windows) {
     if (!windows_compatible(*fabric_, placed.plan.window, window)) continue;
     for (u32 row = 0; row + h <= fabric_->rows(); ++row) {
       if (window.first_col == placed.first_col && row == placed.first_row) {

@@ -35,8 +35,8 @@ bool place_with_candidate(Floorplanner& fp, const Fabric& fabric,
     const std::size_t n = candidates->size();
     for (std::size_t i = 0; i < n; ++i) {
       const PrrPlan& candidate = (*candidates)[(offset + i) % n];
-      for (const ColumnWindow& window :
-           fabric.find_all_windows(candidate.organization.columns)) {
+      const auto windows = fabric.exact_windows(candidate.organization.columns);
+      for (const ColumnWindow& window : *windows) {
         for (u32 row = 0; row + candidate.organization.h <= fabric.rows();
              ++row) {
           if (!fp.rect_free(window.first_col, window.width, row,

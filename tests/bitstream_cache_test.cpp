@@ -40,7 +40,6 @@ class BitstreamCacheTest : public ::testing::Test {
   void TearDown() override { reset(); }
 
   static void reset() {
-    set_bitstream_cache_enabled(true);
     set_bitstream_cache_capacity(128);
     bitstream_cache_clear();
   }
@@ -110,25 +109,6 @@ TEST_F(BitstreamCacheTest, EvictsPastCapacityAndStaysCorrect) {
   const BitstreamCacheStats after = bitstream_cache_stats();
   EXPECT_GT(after.evictions, before.evictions);
   EXPECT_LE(after.entries, 8u);
-}
-
-TEST_F(BitstreamCacheTest, DisabledCacheBypassesStorage) {
-  const Device& device = DeviceDb::instance().get("xc6vlx240t");
-  const PrrPlan plan = plan_on(device);
-  const Family family = device.fabric.family();
-  set_bitstream_cache_enabled(false);
-  EXPECT_FALSE(bitstream_cache_enabled());
-  const BitstreamCacheStats before = bitstream_cache_stats();
-  const auto first = generate_bitstream_cached(plan, family);
-  const auto second = generate_bitstream_cached(plan, family);
-  const BitstreamCacheStats after = bitstream_cache_stats();
-  // No lookups, no residency: each call is a plain compute.
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.entries, 0u);
-  EXPECT_NE(first.get(), second.get());
-  EXPECT_EQ(*first, *second);
-  EXPECT_EQ(*first, generate_bitstream(plan, family));
 }
 
 TEST_F(BitstreamCacheTest, ConcurrentSameKeyLookupsConvergeOnOneEntry) {

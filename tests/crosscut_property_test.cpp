@@ -9,11 +9,11 @@
 #include "bitstream/bitstream_cache.hpp"
 #include "bitstream/crc.hpp"
 #include "bitstream/generator.hpp"
-#include "bitstream/lint.hpp"
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
 #include "multitask/simulator.hpp"
 #include "reconfig/controllers.hpp"
+#include "tests/support/lint.hpp"
 #include "util/rng.hpp"
 
 namespace prcost {

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/generator.hpp"
-#include "bitstream/lint.hpp"
 #include "cost/prr_search.hpp"
 #include "cost/shaped_prr.hpp"
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/lint.hpp"
 
 namespace prcost {
 namespace {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "netlist/dot.hpp"
 #include "netlist/netlist.hpp"
 #include "tests/netlist_sim.hpp"
 #include "util/error.hpp"
@@ -163,23 +162,6 @@ TEST(NetlistSim, FfStepCaptures) {
   sim.step();
   EXPECT_TRUE(sim.ff_state(ff));
   EXPECT_TRUE(sim.eval(q));
-}
-
-TEST(Dot, EmitsGraph) {
-  Netlist nl{"t"};
-  const NetId a = nl.input("a");
-  const NetId ins[] = {a};
-  nl.lut(tt::kNot, ins, "inv");
-  const std::string dot = to_dot(nl);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("inv"), std::string::npos);
-}
-
-TEST(Dot, TruncatesLargeGraphs) {
-  Netlist nl{"t"};
-  for (int i = 0; i < 20; ++i) nl.input("in" + std::to_string(i));
-  const std::string dot = to_dot(nl, 5);
-  EXPECT_NE(dot.find("omitted"), std::string::npos);
 }
 
 }  // namespace

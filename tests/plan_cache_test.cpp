@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "api/engine.hpp"
-#include "bitstream/bitstream_cache.hpp"
 #include "cost/floorplan.hpp"
 #include "cost/plan_cache.hpp"
 #include "cost/prr_search.hpp"
@@ -255,16 +254,12 @@ TEST_F(PlanCacheTest, DisabledFlagBypassesCache) {
   EXPECT_EQ(plan_cache_stats().entries, 0u);
 }
 
-// Constructing an Engine must not touch the process-wide cache switches:
-// a caller that turned a cache off keeps it off.
+// Constructing an Engine must not touch the process-wide plan-cache
+// switch: a caller that turned the cache off keeps it off.
 TEST_F(PlanCacheTest, EngineConstructionKeepsCacheSwitches) {
-  const bool bitstream_was_enabled = bitstream_cache_enabled();
   set_plan_cache_enabled(false);
-  set_bitstream_cache_enabled(false);
   const api::Engine engine;
   EXPECT_FALSE(plan_cache_enabled());
-  EXPECT_FALSE(bitstream_cache_enabled());
-  set_bitstream_cache_enabled(bitstream_was_enabled);
 }
 
 }  // namespace

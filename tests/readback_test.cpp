@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "bitstream/generator.hpp"
-#include "bitstream/readback.hpp"
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
 #include "htr/relocation.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/readback.hpp"
 #include "util/error.hpp"
 
 namespace prcost {

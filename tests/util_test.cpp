@@ -3,9 +3,7 @@
 #include <atomic>
 #include <limits>
 #include <set>
-#include <sstream>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/ints.hpp"
 #include "util/json.hpp"
@@ -216,21 +214,6 @@ TEST(TextTable, RaggedRowsTolerated) {
   table.add_row({"only"});
   EXPECT_NO_THROW(table.to_ascii());
   EXPECT_EQ(table.row_count(), 1u);
-}
-
-// ------------------------------------------------------------------ csv ---
-
-TEST(Csv, QuotesOnlyWhenNeeded) {
-  EXPECT_EQ(csv_quote("plain"), "plain");
-  EXPECT_EQ(csv_quote("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_quote("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WritesRows) {
-  std::ostringstream os;
-  CsvWriter writer{os};
-  writer.write_row({"x", "1,2"});
-  EXPECT_EQ(os.str(), "x,\"1,2\"\n");
 }
 
 // ------------------------------------------------------------------ rng ---

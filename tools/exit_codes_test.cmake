@@ -64,6 +64,21 @@ if(err MATCHES "usage:")
   message(FATAL_ERROR "missing batch file: should not print banner: ${err}")
 endif()
 
+# An -o path that cannot be written: runtime failure naming the path, and
+# no "wrote" line claiming success.
+foreach(cmd "bitstream;fir;--device;xc5vlx110t;-o;/nonexistent/dir/x.bit"
+            "synth;fir;-o;/nonexistent/x.srp"
+            "netlist;fir;-o;/nonexistent/x.net")
+  string(REPLACE ";" " " label "unwritable -o (${cmd})")
+  execute_process(COMMAND ${CLI} ${cmd} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  expect_rc(${rc} 1 "${label}")
+  if(NOT err MATCHES "cannot write output file '/nonexistent/" OR
+     out MATCHES "wrote" OR err MATCHES "usage:")
+    message(FATAL_ERROR "${label}: bad diagnostics: ${out}${err}")
+  endif()
+endforeach()
+
 # Infeasible plan: runtime failure, verdict on stdout.
 execute_process(COMMAND ${CLI} plan matmul --device xc5vlx110t
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)

@@ -254,6 +254,9 @@ int cmd_netlist(const Args& args) {
   if (args.has("out")) {
     std::ofstream out{args.get("out", "")};
     out << text;
+    if (!out.flush()) {
+      throw IoError{"cannot write output file '" + args.get("out", "") + "'"};
+    }
     std::cout << "wrote " << args.get("out", "") << '\n';
   } else {
     std::cout << text;
