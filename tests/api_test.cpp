@@ -1,8 +1,10 @@
 // Engine requests and responses, the JSON layer, the structured error
 // taxonomy, the op table, and the JSONL batch dispatch.
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -559,6 +561,47 @@ TEST(OpTable, EveryOpDispatchesUnderItsOwnName) {
   EXPECT_EQ(api::find_op("ping")->render, nullptr);
   EXPECT_EQ(api::find_op("metrics")->render, nullptr);
   EXPECT_NE(api::find_op("schedule")->render, nullptr);
+}
+
+// A CLI -o path whose directory does not exist.
+std::string unwritable_path(std::string_view name) {
+  return testing::TempDir() + "/no_such_dir_api_test/" + std::string{name};
+}
+
+TEST(OpTable, BitstreamOutWritesThePayload) {
+  const Engine engine;
+  const std::string path = testing::TempDir() + "/fir_api_test.bin";
+  Json request = Json::parse(R"({"prm":"fir","device":"xc5vlx110t"})");
+  request.set("out", Json{path});
+  std::ostringstream out;
+  EXPECT_EQ(api::find_op("bitstream")->render(engine, request, out), 0);
+  const auto size = std::filesystem::file_size(path);
+  EXPECT_GT(size, 0u);
+  EXPECT_EQ(size % 4, 0u);  // whole 32-bit Virtex-5 words, no header
+  EXPECT_NE(out.str().find("wrote " + std::to_string(size) + " bytes to " +
+                           path + "\n"),
+            std::string::npos)
+      << out.str();
+  std::filesystem::remove(path);
+}
+
+TEST(OpTable, BitstreamOutUnwritableIsIoError) {
+  const Engine engine;
+  Json request = Json::parse(R"({"prm":"fir","device":"xc5vlx110t"})");
+  request.set("out", Json{unwritable_path("fir.bin")});
+  std::ostringstream out;
+  EXPECT_THROW(api::find_op("bitstream")->render(engine, request, out),
+               IoError);
+  EXPECT_EQ(out.str().find("wrote"), std::string::npos);
+}
+
+TEST(OpTable, SynthOutUnwritableIsIoError) {
+  const Engine engine;
+  Json request = Json::parse(R"({"prm":"uart"})");
+  request.set("out", Json{unwritable_path("uart.srp")});
+  std::ostringstream out;
+  EXPECT_THROW(api::find_op("synth")->render(engine, request, out), IoError);
+  EXPECT_EQ(out.str().find("wrote"), std::string::npos);
 }
 
 TEST(Batch, OneResponsePerLineInInputOrder) {

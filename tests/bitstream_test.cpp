@@ -2,6 +2,7 @@
 
 #include <array>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "bitstream/parser.hpp"
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
+#include "obs/obs.hpp"
 #include "paperdata/paper_dataset.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -269,6 +271,23 @@ TEST(Generator, TrailerLengthEqualsFwForAllFamilies) {
     EXPECT_EQ(trailer_words(family, 0xDEADBEEF).size(), traits(family).fw)
         << family_name(family);
   }
+}
+
+TEST(Generator, FullBitstreamTracesAsBitstreamGenFull) {
+  // perfbench attributes every "bitstream_gen*" span to its bitstream
+  // layer; the full-device generator must keep reporting under that name.
+  const Fabric& fabric = DeviceDb::instance().get("xc5vlx110t").fabric;
+  obs::clear_trace();
+  obs::set_tracing(true);
+  const auto words = generate_full_bitstream(fabric);
+  obs::set_tracing(false);
+  EXPECT_FALSE(words.empty());
+  std::size_t spans = 0;
+  for (const auto& span : obs::trace_spans()) {
+    if (std::string_view{span.name} == "bitstream_gen_full") ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
+  obs::clear_trace();
 }
 
 TEST(Generator, HeaderContainsSync) {

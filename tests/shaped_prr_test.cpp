@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string_view>
+
 #include "bitstream/generator.hpp"
 #include "bitstream/parser.hpp"
 #include "cost/shaped_prr.hpp"
 #include "device/device_db.hpp"
+#include "obs/obs.hpp"
 #include "paperdata/paper_dataset.hpp"
 #include "util/error.hpp"
 
@@ -69,6 +73,23 @@ TEST(ShapedPrr, GeneratorMatchesModelByteForByte) {
   EXPECT_EQ(layout.config_burst_count(), 5u);
   EXPECT_THROW(generate_shaped_bitstream(ShapedPrr{}, Family::kVirtex5),
                ContractError);
+}
+
+TEST(ShapedPrr, GeneratorTracesAsBitstreamGenShaped) {
+  // perfbench attributes every "bitstream_gen*" span to its bitstream
+  // layer; the shaped generator must keep reporting under that name.
+  obs::clear_trace();
+  obs::set_tracing(true);
+  const auto words = generate_shaped_bitstream(two_band_shape(),
+                                               Family::kVirtex5);
+  obs::set_tracing(false);
+  EXPECT_FALSE(words.empty());
+  std::size_t spans = 0;
+  for (const auto& span : obs::trace_spans()) {
+    if (std::string_view{span.name} == "bitstream_gen_shaped") ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
+  obs::clear_trace();
 }
 
 TEST(ShapedPrr, SearchedShapeGeneratesExactly) {
