@@ -63,6 +63,10 @@ int main(int argc, char** argv) {
     std::ofstream out{argv[3], std::ios::binary};
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+    if (!out.flush()) {
+      std::cerr << "cannot write " << argv[3] << '\n';
+      return 1;
+    }
     std::cout << "\nwrote " << bytes.size() << " bytes to " << argv[3]
               << '\n';
   }

@@ -127,6 +127,78 @@ std::vector<PrmInfo> synthesize_prms(const std::vector<std::string>& names,
   return prms;
 }
 
+/// The seeded synthetic workload explore, rank and faults run: `tasks`
+/// tasks over `prm_count` PRMs.
+std::vector<HwTask> seeded_workload(u32 tasks, std::size_t prm_count,
+                                    u64 seed) {
+  WorkloadParams wp;
+  wp.count = tasks;
+  wp.prm_count = narrow<u32>(prm_count);
+  wp.seed = seed;
+  return make_workload(wp);
+}
+
+/// Size each PRM's own smallest PRR on `device` and price the PRM at that
+/// plan's Eq. 18-23 bitstream bytes; returns the plans in PRM order.
+/// Throws InfeasibleError naming the first PRM that fits nowhere.
+std::vector<PrrPlan> price_prms(std::vector<PrmInfo>& prms,
+                                const Device& device) {
+  std::vector<PrrPlan> plans;
+  plans.reserve(prms.size());
+  for (PrmInfo& prm : prms) {
+    const auto plan = find_prr(prm.req, device.fabric);
+    if (!plan) {
+      throw InfeasibleError{"no feasible PRR for '" + prm.name + "' on " +
+                            device.name};
+    }
+    prm.bitstream_bytes = plan->bitstream.total_bytes;
+    plans.push_back(*plan);
+  }
+  return plans;
+}
+
+/// A schedule request's arrival stream over `prm_count` PRMs: the replayed
+/// trace, or the seeded Poisson or bursty generator. Throws UsageError on
+/// an unknown workload, a trace workload without trace text, or a trace
+/// task naming a PRM index past `prm_count`.
+std::vector<sched::Task> arrival_stream(const ScheduleRequest& request,
+                                        std::size_t prm_count) {
+  if (request.workload == "trace") {
+    if (request.trace.empty()) {
+      throw UsageError{"schedule workload 'trace' needs trace text"};
+    }
+    std::vector<sched::Task> tasks = sched::parse_trace(request.trace);
+    for (const sched::Task& task : tasks) {
+      if (task.prm >= prm_count) {
+        throw UsageError{"trace task '" + task.name +
+                         "' references unknown PRM index " +
+                         std::to_string(task.prm)};
+      }
+    }
+    return tasks;
+  }
+  if (request.workload != "poisson" && request.workload != "bursty") {
+    throw UsageError{"unknown workload '" + request.workload +
+                     "' (known: poisson bursty trace)"};
+  }
+  sched::ArrivalParams params;
+  params.count = request.tasks;
+  params.prm_count = narrow<u32>(prm_count);
+  params.mean_interarrival_s = request.mean_interarrival_s;
+  params.mean_exec_s = request.mean_exec_s;
+  params.deadline_factor = request.deadline_factor;
+  params.seed = request.seed;
+  return request.workload == "poisson" ? sched::make_poisson(params)
+                                       : sched::make_bursty(params);
+}
+
+/// Byte size of `plan`'s generated partial bitstream, through the
+/// process-wide bitstream cache.
+u64 generated_bytes(const PrrPlan& plan, const Fabric& fabric) {
+  return generate_bitstream_cached(plan, fabric.family())->size() *
+         fabric.traits().bytes_word;
+}
+
 }  // namespace
 
 Engine::Engine() : Engine(Options{}) {}
@@ -215,20 +287,10 @@ PlanResponse Engine::plan(const PlanRequest& request) const {
     // netlist came from our own synthesis) and a generated bitstream whose
     // byte size must match the model prediction.
     if (input.synth) {
-      const ParResult par = place_and_route(std::move(input.synth->netlist),
-                                            *plan, device.fabric, ParOptions{});
-      ParCrossCheck check;
-      check.routed = par.routed;
-      check.failure_reason = par.failure_reason;
-      check.placed_cells = par.placement.placed_cells;
-      check.hpwl_initial = par.placement.hpwl_initial;
-      check.hpwl_final = par.placement.hpwl_final;
-      check.critical_path_ns = par.placement.critical_path_ns;
-      response.par = check;
+      response.par = place_and_route(std::move(input.synth->netlist), *plan,
+                                     device.fabric, ParOptions{});
     }
-    response.generated_bytes =
-        generate_bitstream_cached(*plan, device.fabric.family())->size() *
-        device.fabric.traits().bytes_word;
+    response.generated_bytes = generated_bytes(*plan, device.fabric);
   }
 
   if (request.shaped) {
@@ -279,10 +341,6 @@ ExploreResponse Engine::explore(const ExploreRequest& request) const {
       synthesize_prms(request.prms, device.fabric.family());
   check_deadline("explore.synth");
 
-  WorkloadParams wp;
-  wp.count = request.tasks;
-  wp.prm_count = narrow<u32>(prms.size());
-  wp.seed = request.seed;
   ExploreOptions options;
   options.workers = effective_workers(request.workers);
   options.max_groups = request.max_groups;
@@ -290,8 +348,9 @@ ExploreResponse Engine::explore(const ExploreRequest& request) const {
   ExploreResponse response;
   response.device = device.name;
   response.prms = request.prms;
-  response.points = prcost::explore(prms, device.fabric, make_workload(wp),
-                                    options);
+  response.points = prcost::explore(
+      prms, device.fabric,
+      seeded_workload(request.tasks, prms.size(), request.seed), options);
   const std::vector<DesignPoint> front = pareto_front(response.points);
   response.pareto_count = front.size();
   check_deadline("explore.sweep");
@@ -347,14 +406,12 @@ RankResponse Engine::rank(const RankRequest& request) const {
       synthesize_prms(request.prms, Family::kVirtex5);
   check_deadline("rank.synth");
 
-  WorkloadParams wp;
-  wp.count = request.tasks;
-  wp.prm_count = narrow<u32>(prms.size());
-  wp.seed = request.seed;
   DeviceSelectOptions options;
   options.workers = effective_workers(request.workers);
   RankResponse response;
-  response.choices = rank_devices(prms, make_workload(wp), options);
+  response.choices = rank_devices(
+      prms, seeded_workload(request.tasks, prms.size(), request.seed),
+      options);
   response.stats = scope.finish();
   return response;
 }
@@ -365,14 +422,7 @@ FaultsResponse Engine::faults(const FaultsRequest& request) const {
   const Device& device = resolve_device(request.device);
   std::vector<PrmInfo> prms =
       synthesize_prms(request.prms, device.fabric.family());
-  for (PrmInfo& prm : prms) {
-    const auto plan = find_prr(prm.req, device.fabric);
-    if (!plan) {
-      throw InfeasibleError{"no feasible PRR for '" + prm.name + "' on " +
-                            device.name};
-    }
-    prm.bitstream_bytes = plan->bitstream.total_bytes;
-  }
+  price_prms(prms, device);
   check_deadline("faults.plan");
 
   FaultProfile profile;
@@ -398,37 +448,20 @@ FaultsResponse Engine::faults(const FaultsRequest& request) const {
   // fault-free request then takes the exact pre-fault simulation path.
   if (profile.active()) config.faults = &injector;
 
-  WorkloadParams wp;
-  wp.count = request.tasks;
-  wp.prm_count = narrow<u32>(prms.size());
-  wp.seed = request.seed;
-  const SimResult sim = simulate(prms, make_workload(wp), config);
-
   FaultsResponse response;
+  response.report = simulate(
+      prms, seeded_workload(request.tasks, prms.size(), request.seed), config);
+  if (request.strict && response.report.dropped_tasks > 0) {
+    throw FaultError{"faults: " +
+                     std::to_string(response.report.dropped_tasks) +
+                     " task(s) dropped after exhausted retries"};
+  }
   response.device = device.name;
   response.fault_rate = profile.fault_rate;
   response.fault_seed = profile.seed;
   response.max_retries = config.retry.max_retries;
-  response.makespan_s = sim.makespan_s;
-  response.reconfig_count = sim.reconfig_count;
-  response.total_reconfig_s = sim.total_reconfig_s;
-  response.failed_reconfigs = sim.failed_reconfigs;
-  response.dropped_tasks = sim.dropped_tasks;
-  response.rescheduled_tasks = sim.rescheduled_tasks;
-  response.retry_attempts = sim.retry_attempts;
-  response.total_retry_backoff_s = sim.total_retry_backoff_s;
-  response.total_fault_wasted_s = sim.total_fault_wasted_s;
-  response.total_penalty_s = sim.total_penalty_s;
   response.injected_faults = injector.corrupted();
   response.injected_stalls = injector.stalls();
-  response.effective_reconfig_s =
-      sim.reconfig_count != 0
-          ? sim.total_reconfig_s / static_cast<double>(sim.reconfig_count)
-          : 0.0;
-  if (request.strict && sim.dropped_tasks > 0) {
-    throw FaultError{"faults: " + std::to_string(sim.dropped_tasks) +
-                     " task(s) dropped after exhausted retries"};
-  }
   response.stats = scope.finish();
   return response;
 }
@@ -448,36 +481,17 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   // Per-PRM plans: the Eq. 18-23 bitstream size prices every candidate
   // reconfiguration, and the prefetch hook generates exactly these plans
   // into the process-wide bitstream cache.
-  std::vector<PrrPlan> plans;
-  plans.reserve(prms.size());
-  for (PrmInfo& prm : prms) {
-    const auto plan = find_prr(prm.req, device.fabric);
-    if (!plan) {
-      throw InfeasibleError{"no feasible PRR for '" + prm.name + "' on " +
-                            device.name};
-    }
-    prm.bitstream_bytes = plan->bitstream.total_bytes;
-    plans.push_back(*plan);
-  }
+  const std::vector<PrrPlan> plans = price_prms(prms, device);
 
   // Pluggable slots: every slot must host any PRM, so each is sized by
   // the element-wise maximum requirement (the paper's shared-PRR rule)
   // and placed by the occupancy-aware floorplanner until the fabric runs
   // out of room.
-  std::vector<PrmRequirements> reqs;
-  reqs.reserve(prms.size());
-  for (const PrmInfo& prm : prms) reqs.push_back(prm.req);
-  if (!find_shared_prr(reqs, device.fabric)) {
+  PrmRequirements merged;
+  for (const PrmInfo& prm : prms) merged.merge(prm.req);
+  if (!find_prr(merged, device.fabric)) {
     throw InfeasibleError{"no shared PRR slot fits every PRM on " +
                           device.name};
-  }
-  PrmRequirements merged;
-  for (const PrmRequirements& req : reqs) {
-    merged.lut_ff_pairs = std::max(merged.lut_ff_pairs, req.lut_ff_pairs);
-    merged.luts = std::max(merged.luts, req.luts);
-    merged.ffs = std::max(merged.ffs, req.ffs);
-    merged.dsps = std::max(merged.dsps, req.dsps);
-    merged.brams = std::max(merged.brams, req.brams);
   }
   Floorplanner floorplanner{device.fabric};
   u32 placed = 0;
@@ -490,34 +504,8 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   }
   check_deadline("schedule.plan");
 
-  std::vector<sched::Task> tasks;
-  if (request.workload == "trace") {
-    if (request.trace.empty()) {
-      throw UsageError{"schedule workload 'trace' needs trace text"};
-    }
-    tasks = sched::parse_trace(request.trace);
-    for (const sched::Task& task : tasks) {
-      if (task.prm >= prms.size()) {
-        throw UsageError{"trace task '" + task.name +
-                         "' references unknown PRM index " +
-                         std::to_string(task.prm)};
-      }
-    }
-  } else if (request.workload == "poisson" || request.workload == "bursty") {
-    sched::ArrivalParams params;
-    params.count = request.tasks;
-    params.prm_count = narrow<u32>(prms.size());
-    params.mean_interarrival_s = request.mean_interarrival_s;
-    params.mean_exec_s = request.mean_exec_s;
-    params.deadline_factor = request.deadline_factor;
-    params.seed = request.seed;
-    tasks = request.workload == "poisson" ? sched::make_poisson(params)
-                                          : sched::make_bursty(params);
-  } else {
-    throw UsageError{"unknown workload '" + request.workload +
-                     "' (known: poisson bursty trace)"};
-  }
-
+  ScheduleResponse response;
+  response.tasks = arrival_stream(request, prms.size());
   sched::SchedulerConfig config;
   config.slot_count = placed;
   config.policy = sched::parse_policy(request.policy);
@@ -532,47 +520,15 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   config.prefetch_hook = [&plans, family](u32 prm) {
     generate_bitstream_cached(plans[prm], family);
   };
-  const sched::Report report = sched::run(prms, tasks, config);
+  response.report = sched::run(prms, response.tasks, config);
   check_deadline("schedule.run");
 
-  ScheduleResponse response;
   response.device = device.name;
-  response.policy = std::string{sched::policy_name(config.policy)};
+  response.policy = config.policy;
   response.slot_count = placed;
   response.prm_count = narrow<u32>(prms.size());
-  response.task_count = tasks.size();
   response.fault_rate = config.fault_rate;
-  response.makespan_s = report.makespan_s;
-  response.throughput_per_s = report.throughput_per_s;
-  response.reuse_hits = report.reuse_hits;
-  response.reconfig_count = report.reconfig_count;
-  response.total_reconfig_s = report.total_reconfig_s;
-  response.reconfig_seconds_per_task = report.reconfig_seconds_per_task;
-  response.deadline_misses = report.deadline_misses;
-  response.cpu_fallbacks = report.cpu_fallbacks;
-  response.prefetches_issued = report.prefetches_issued;
-  response.prefetched_reconfigs = report.prefetched_reconfigs;
-  response.mean_wait_s = report.mean_wait_s;
-  response.mean_turnaround_s = report.mean_turnaround_s;
-  if (request.detail) {
-    response.task_outcomes.reserve(report.tasks.size());
-    for (std::size_t i = 0; i < report.tasks.size(); ++i) {
-      const sched::TaskOutcome& outcome = report.tasks[i];
-      ScheduleTaskOutcome wire;
-      wire.name = tasks[i].name;
-      wire.prm = tasks[i].prm;
-      wire.slot = outcome.slot;
-      wire.cpu_fallback = outcome.cpu_fallback;
-      wire.reconfigured = outcome.reconfigured;
-      wire.prefetched = outcome.prefetched;
-      wire.deadline_miss = outcome.deadline_miss;
-      wire.reconfig_s = outcome.reconfig_s;
-      wire.start_s = outcome.start_s;
-      wire.finish_s = outcome.finish_s;
-      wire.wait_s = outcome.wait_s;
-      response.task_outcomes.push_back(std::move(wire));
-    }
-  }
+  response.detail = request.detail;
   response.stats = scope.finish();
   return response;
 }
@@ -620,52 +576,20 @@ OptimizeResponse Engine::optimize(const OptimizeRequest& request) const {
   options.max_retries = request.max_retries.value_or(options_.max_retries);
   options.workers = effective_workers(request.workers);
 
-  opt::JointOptimizer optimizer{instance, options};
-  const opt::OptimizeResult result = optimizer.run();
-
   OptimizeResponse response;
+  response.result = opt::JointOptimizer{instance, options}.run();
   response.device = device.name;
   response.prm_count = narrow<u32>(instance.prms.size());
   response.group_count = instance.group_count;
   response.seed = request.seed;
-  response.greedy_rejected_prms = result.greedy.rejected_prms;
-  response.greedy_rejection_rate =
-      result.greedy_rejection_rate(instance.prms.size());
-  response.greedy_makespan_s = result.greedy.makespan_s;
-  response.greedy_fragmentation = result.greedy_frag.fragmentation;
-  response.greedy_cost = result.greedy.cost;
-  response.greedy_placed_groups = result.greedy.placed_groups;
-  response.anneal_rejected_prms = result.best.rejected_prms;
-  response.anneal_rejection_rate =
-      result.best_rejection_rate(instance.prms.size());
-  response.anneal_makespan_s = result.best.makespan_s;
-  response.anneal_fragmentation = result.best_frag.fragmentation;
-  response.anneal_cost = result.best.cost;
-  response.anneal_placed_groups = result.best.placed_groups;
-  response.anneal_relocation_s = result.best.relocation_s;
-  response.proposals = result.proposals;
-  response.accepted = result.accepted;
-  response.accepted_swap =
-      result.accepted_by_kind[static_cast<std::size_t>(opt::MoveKind::kSwap)];
-  response.accepted_relocate = result.accepted_by_kind[static_cast<std::size_t>(
-      opt::MoveKind::kRelocate)];
-  response.accepted_resize = result.accepted_by_kind[static_cast<std::size_t>(
-      opt::MoveKind::kResize)];
-  response.accepted_compact = result.accepted_by_kind[static_cast<std::size_t>(
-      opt::MoveKind::kCompact)];
-  response.cost_verified = result.cost_verified;
   // Cross-check every placed plan's Eq. 18 size against a generated
   // bitstream (served through the process-wide bitstream cache).
-  response.bitstream_verified = true;
-  for (const PlacedPrr& placed : result.placements) {
-    const u64 generated =
-        generate_bitstream_cached(placed.plan, device.fabric.family())->size() *
-        device.fabric.traits().bytes_word;
-    if (generated != placed.plan.bitstream.total_bytes) {
-      response.bitstream_verified = false;
-      break;
-    }
-  }
+  response.bitstream_verified = std::all_of(
+      response.result.placements.begin(), response.result.placements.end(),
+      [&](const PlacedPrr& placed) {
+        return generated_bytes(placed.plan, device.fabric) ==
+               placed.plan.bitstream.total_bytes;
+      });
   response.stats = scope.finish();
   return response;
 }
@@ -673,19 +597,7 @@ OptimizeResponse Engine::optimize(const OptimizeRequest& request) const {
 DevicesResponse Engine::list_devices() const {
   const obs::RequestScope scope{options_.collect_stats};
   DevicesResponse response;
-  for (const Device& dev : devices().all()) {
-    DeviceSummary summary;
-    summary.name = dev.name;
-    summary.family = std::string{family_name(dev.fabric.family())};
-    summary.rows = dev.fabric.rows();
-    summary.clb_cols = dev.fabric.column_count(ColumnType::kClb);
-    summary.dsp_cols = dev.fabric.column_count(ColumnType::kDsp);
-    summary.bram_cols = dev.fabric.column_count(ColumnType::kBram);
-    summary.clbs = dev.fabric.total_resources(ColumnType::kClb);
-    summary.dsps = dev.fabric.total_resources(ColumnType::kDsp);
-    summary.bram36s = dev.fabric.total_resources(ColumnType::kBram);
-    response.devices.push_back(std::move(summary));
-  }
+  response.devices = devices().all();
   response.stats = scope.finish();
   return response;
 }

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <optional>
 #include <ostream>
-#include <vector>
 
 #include "bitstream/generator.hpp"
 #include "bitstream/parser.hpp"
@@ -47,7 +46,8 @@ Json metrics(const Engine& engine, const Json&) {
 
 // ----------------------------------------------------------- renderers --
 // Typed response -> the CLI's text; return the exit code. The request is
-// passed for the CLI-only members ("out") that no Engine call reads.
+// passed for the CLI-only members ("out", "dump_trace") that no Engine
+// call reads.
 
 /// The --stats block, printed after a command's own output.
 void print_stats(std::ostream& out,
@@ -75,11 +75,17 @@ int render_devices(const DevicesResponse& response, const Json&,
                    std::ostream& out) {
   TextTable table{{"device", "family", "rows", "CLB cols", "DSP cols",
                    "BRAM cols", "CLBs", "DSPs", "BRAM36s"}};
-  for (const DeviceSummary& dev : response.devices) {
-    table.add_row({dev.name, dev.family, std::to_string(dev.rows),
-                   std::to_string(dev.clb_cols), std::to_string(dev.dsp_cols),
-                   std::to_string(dev.bram_cols), std::to_string(dev.clbs),
-                   std::to_string(dev.dsps), std::to_string(dev.bram36s)});
+  for (const Device& dev : response.devices) {
+    const Fabric& fabric = dev.fabric;
+    table.add_row(
+        {dev.name, std::string{family_name(fabric.family())},
+         std::to_string(fabric.rows()),
+         std::to_string(fabric.column_count(ColumnType::kClb)),
+         std::to_string(fabric.column_count(ColumnType::kDsp)),
+         std::to_string(fabric.column_count(ColumnType::kBram)),
+         std::to_string(fabric.total_resources(ColumnType::kClb)),
+         std::to_string(fabric.total_resources(ColumnType::kDsp)),
+         std::to_string(fabric.total_resources(ColumnType::kBram))});
   }
   out << table.to_ascii();
   return 0;
@@ -122,16 +128,17 @@ int render_plan(const PlanResponse& response, const Json&, std::ostream& out) {
   table.add_row({"partial bitstream",
                  std::to_string(plan.bitstream.total_bytes) + " bytes"});
   if (response.par) {
-    const ParCrossCheck& par = *response.par;
-    if (par.routed) {
-      table.add_row({"PAR placed cells", std::to_string(par.placed_cells)});
-      table.add_row({"PAR HPWL (initial -> final)",
-                     std::to_string(par.hpwl_initial) + " -> " +
-                         std::to_string(par.hpwl_final)});
+    const PlaceResult& placement = response.par->placement;
+    if (response.par->routed) {
       table.add_row(
-          {"PAR critical path", format_fixed(par.critical_path_ns, 2) + " ns"});
+          {"PAR placed cells", std::to_string(placement.placed_cells)});
+      table.add_row({"PAR HPWL (initial -> final)",
+                     std::to_string(placement.hpwl_initial) + " -> " +
+                         std::to_string(placement.hpwl_final)});
+      table.add_row({"PAR critical path",
+                     format_fixed(placement.critical_path_ns, 2) + " ns"});
     } else {
-      table.add_row({"PAR", "failed: " + par.failure_reason});
+      table.add_row({"PAR", "failed: " + response.par->failure_reason});
     }
   }
   table.add_row({"generated bitstream",
@@ -223,32 +230,32 @@ int render_faults(const FaultsResponse& response, const Json&,
   const auto ms = [](double s, int digits) {
     return format_fixed(s * 1e3, digits) + " ms";
   };
+  const SimResult& sim = response.report;
   TextTable table{{"quantity", "value"}};
   table.add_row({"fault rate", format_fixed(response.fault_rate, 4)});
   table.add_row({"fault seed", std::to_string(response.fault_seed)});
   table.add_row({"max retries", std::to_string(response.max_retries)});
-  table.add_row({"makespan", ms(response.makespan_s, 2)});
-  table.add_row({"reconfigurations", std::to_string(response.reconfig_count)});
+  table.add_row({"makespan", ms(sim.makespan_s, 2)});
+  table.add_row({"reconfigurations", std::to_string(sim.reconfig_count)});
   table.add_row(
-      {"effective reconfig time", ms(response.effective_reconfig_s, 3)});
-  table.add_row({"retry attempts", std::to_string(response.retry_attempts)});
-  table.add_row({"retry backoff", ms(response.total_retry_backoff_s, 3)});
-  table.add_row({"wasted ICAP time", ms(response.total_fault_wasted_s, 3)});
+      {"effective reconfig time", ms(response.effective_reconfig_s(), 3)});
+  table.add_row({"retry attempts", std::to_string(sim.retry_attempts)});
+  table.add_row({"retry backoff", ms(sim.total_retry_backoff_s, 3)});
+  table.add_row({"wasted ICAP time", ms(sim.total_fault_wasted_s, 3)});
   table.add_row({"injected faults / stalls",
                  std::to_string(response.injected_faults) + " / " +
                      std::to_string(response.injected_stalls)});
-  table.add_row(
-      {"failed reconfigs", std::to_string(response.failed_reconfigs)});
-  table.add_row(
-      {"rescheduled tasks", std::to_string(response.rescheduled_tasks)});
-  table.add_row({"dropped tasks", std::to_string(response.dropped_tasks)});
-  table.add_row({"drop penalty", ms(response.total_penalty_s, 3)});
+  table.add_row({"failed reconfigs", std::to_string(sim.failed_reconfigs)});
+  table.add_row({"rescheduled tasks", std::to_string(sim.rescheduled_tasks)});
+  table.add_row({"dropped tasks", std::to_string(sim.dropped_tasks)});
+  table.add_row({"drop penalty", ms(sim.total_penalty_s, 3)});
   out << table.to_ascii();
   return 0;
 }
 
 int render_optimize(const OptimizeResponse& response, const Json&,
                     std::ostream& out) {
+  const opt::OptimizeResult& result = response.result;
   const auto pct = [](double x) { return format_fixed(x * 100.0, 1) + "%"; };
   const auto ms = [](double s) { return format_fixed(s * 1e3, 2) + " ms"; };
   const auto of_groups = [&](u64 placed) {
@@ -256,57 +263,67 @@ int render_optimize(const OptimizeResponse& response, const Json&,
            std::to_string(response.group_count);
   };
   TextTable table{{"quantity", "greedy", "annealed"}};
-  table.add_row({"placed PRRs", of_groups(response.greedy_placed_groups),
-                 of_groups(response.anneal_placed_groups)});
-  table.add_row({"rejected PRMs", std::to_string(response.greedy_rejected_prms),
-                 std::to_string(response.anneal_rejected_prms)});
-  table.add_row({"rejection rate", pct(response.greedy_rejection_rate),
-                 pct(response.anneal_rejection_rate)});
-  table.add_row({"makespan", ms(response.greedy_makespan_s),
-                 ms(response.anneal_makespan_s)});
-  table.add_row({"fragmentation", pct(response.greedy_fragmentation),
-                 pct(response.anneal_fragmentation)});
-  table.add_row({"cost", format_fixed(response.greedy_cost, 3),
-                 format_fixed(response.anneal_cost, 3)});
+  table.add_row({"placed PRRs", of_groups(result.greedy.placed_groups),
+                 of_groups(result.best.placed_groups)});
+  table.add_row({"rejected PRMs", std::to_string(result.greedy.rejected_prms),
+                 std::to_string(result.best.rejected_prms)});
+  table.add_row({"rejection rate",
+                 pct(result.greedy_rejection_rate(response.prm_count)),
+                 pct(result.best_rejection_rate(response.prm_count))});
+  table.add_row({"makespan", ms(result.greedy.makespan_s),
+                 ms(result.best.makespan_s)});
+  table.add_row({"fragmentation", pct(result.greedy_frag.fragmentation),
+                 pct(result.best_frag.fragmentation)});
+  table.add_row({"cost", format_fixed(result.greedy.cost, 3),
+                 format_fixed(result.best.cost, 3)});
   out << table.to_ascii();
   out << "fleet: " << response.prm_count << " PRMs in " << response.group_count
       << " shared PRRs (seed " << response.seed << ")\n"
-      << "moves: " << response.accepted << " accepted of " << response.proposals
-      << " proposed (swap " << response.accepted_swap << ", relocate "
-      << response.accepted_relocate << ", resize " << response.accepted_resize
-      << ", compact " << response.accepted_compact << "), relocation ICAP time "
-      << format_fixed(response.anneal_relocation_s * 1e3, 3) << " ms\n"
+      << "moves: " << result.accepted << " accepted of " << result.proposals
+      << " proposed (swap " << result.accepted_of(opt::MoveKind::kSwap)
+      << ", relocate " << result.accepted_of(opt::MoveKind::kRelocate)
+      << ", resize " << result.accepted_of(opt::MoveKind::kResize)
+      << ", compact " << result.accepted_of(opt::MoveKind::kCompact)
+      << "), relocation ICAP time "
+      << format_fixed(result.best.relocation_s * 1e3, 3) << " ms\n"
       << "cost re-evaluation: "
-      << (response.cost_verified ? "matches" : "MISMATCH")
+      << (result.cost_verified ? "matches" : "MISMATCH")
       << ", bitstream model: "
       << (response.bitstream_verified ? "matches generated" : "MISMATCH")
       << '\n';
-  return response.cost_verified && response.bitstream_verified ? 0 : 1;
+  return result.cost_verified && response.bitstream_verified ? 0 : 1;
 }
 
-int render_schedule(const ScheduleResponse& response, const Json&,
+/// `--dump-trace FILE` (the "dump_trace" member) writes the arrival
+/// stream the run used before the table.
+int render_schedule(const ScheduleResponse& response, const Json& request,
                     std::ostream& out) {
+  if (const Json* dump = request.find("dump_trace")) {
+    const std::string& path = dump->as_string();
+    std::ofstream file{path};
+    file << sched::dump_trace(response.tasks);
+    if (!file.flush()) throw IoError{"cannot write trace file '" + path + "'"};
+    out << "wrote " << response.tasks.size() << " tasks to " << path << '\n';
+  }
+  const sched::Report& report = response.report;
   const auto ms = [](double s) { return format_fixed(s * 1e3, 3) + " ms"; };
   TextTable table{{"quantity", "value"}};
-  table.add_row({"policy", response.policy});
+  table.add_row({"policy", std::string{sched::policy_name(response.policy)}});
   table.add_row({"PRR slots", std::to_string(response.slot_count)});
-  table.add_row({"tasks", std::to_string(response.task_count)});
+  table.add_row({"tasks", std::to_string(response.tasks.size())});
+  table.add_row({"makespan", format_fixed(report.makespan_s * 1e3, 2) + " ms"});
   table.add_row(
-      {"makespan", format_fixed(response.makespan_s * 1e3, 2) + " ms"});
-  table.add_row(
-      {"throughput", format_fixed(response.throughput_per_s, 1) + " tasks/s"});
-  table.add_row({"reconfigurations", std::to_string(response.reconfig_count)});
-  table.add_row({"slot reuse hits", std::to_string(response.reuse_hits)});
-  table.add_row(
-      {"reconfig time / task", ms(response.reconfig_seconds_per_task)});
-  table.add_row(
-      {"prefetches issued", std::to_string(response.prefetches_issued)});
+      {"throughput", format_fixed(report.throughput_per_s, 1) + " tasks/s"});
+  table.add_row({"reconfigurations", std::to_string(report.reconfig_count)});
+  table.add_row({"slot reuse hits", std::to_string(report.reuse_hits)});
+  table.add_row({"reconfig time / task", ms(report.reconfig_seconds_per_task)});
+  table.add_row({"prefetches issued", std::to_string(report.prefetches_issued)});
   table.add_row({"warm (prefetched) reconfigs",
-                 std::to_string(response.prefetched_reconfigs)});
-  table.add_row({"deadline misses", std::to_string(response.deadline_misses)});
-  table.add_row({"CPU fallbacks", std::to_string(response.cpu_fallbacks)});
-  table.add_row({"mean wait", ms(response.mean_wait_s)});
-  table.add_row({"mean turnaround", ms(response.mean_turnaround_s)});
+                 std::to_string(report.prefetched_reconfigs)});
+  table.add_row({"deadline misses", std::to_string(report.deadline_misses)});
+  table.add_row({"CPU fallbacks", std::to_string(report.cpu_fallbacks)});
+  table.add_row({"mean wait", ms(report.mean_wait_s)});
+  table.add_row({"mean turnaround", ms(report.mean_turnaround_s)});
   out << table.to_ascii();
   return 0;
 }
@@ -345,34 +362,12 @@ constexpr Op op(std::string_view name, Positionals positionals,
 
 constexpr bool kInfeasibleIsVerdict = true;
 
-/// The CLI's schedule: `--trace FILE` replays the file whatever the
-/// workload says, and `--dump-trace FILE` writes the arrival stream the
-/// run will use before running it.
-int schedule_text(const Engine& engine, const Json& json, std::ostream& out) {
+/// The CLI's schedule request: `--trace FILE` replays the file whatever
+/// the workload says.
+ScheduleResponse cli_schedule(const Engine& engine, const Json& json) {
   ScheduleRequest request = schedule_request_from_json(json);
   if (json.find("trace") != nullptr) request.workload = "trace";
-  if (const Json* dump = json.find("dump_trace")) {
-    sched::ArrivalParams params;
-    params.count = request.tasks;
-    params.prm_count = narrow<u32>(request.prms.size());
-    params.mean_interarrival_s = request.mean_interarrival_s;
-    params.mean_exec_s = request.mean_exec_s;
-    params.deadline_factor = request.deadline_factor;
-    params.seed = request.seed;
-    const std::vector<sched::Task> tasks =
-        request.workload == "trace"    ? sched::parse_trace(request.trace)
-        : request.workload == "bursty" ? sched::make_bursty(params)
-                                       : sched::make_poisson(params);
-    const std::string& path = dump->as_string();
-    std::ofstream file{path};
-    if (!file) throw IoError{"cannot write trace file '" + path + "'"};
-    file << sched::dump_trace(tasks);
-    out << "wrote " << tasks.size() << " tasks to " << path << '\n';
-  }
-  const ScheduleResponse response = engine.schedule(request);
-  const int rc = render_schedule(response, json, out);
-  print_stats(out, response.stats);
-  return rc;
+  return engine.schedule(request);
 }
 
 // ---------------------------------------------------------- flag specs --
@@ -451,10 +446,10 @@ constexpr Op kOps[] = {
         "faults", Positionals::kPrms, kFaultsFlags),
     op<call<optimize_request_from_json, &Engine::optimize>, render_optimize>(
         "optimize", Positionals::kPrms, kOptimizeFlags),
-    // The CLI's schedule adds --trace / --dump-trace handling around the
-    // same Engine call.
+    // The CLI's schedule lets --trace pick the workload around the same
+    // Engine call.
     {"schedule", wire<call<schedule_request_from_json, &Engine::schedule>>,
-     schedule_text, Positionals::kPrms, kScheduleFlags},
+     text<cli_schedule, render_schedule>, Positionals::kPrms, kScheduleFlags},
     {"ping", ping, nullptr, Positionals::kNone, {}},
     {"metrics", metrics, nullptr, Positionals::kNone, {}},
 };

@@ -310,10 +310,11 @@ Json to_json(const PlanResponse& r) {
     Json par = Json::object();
     par.set("routed", r.par->routed);
     if (r.par->routed) {
-      par.set("placed_cells", r.par->placed_cells)
-          .set("hpwl_initial", r.par->hpwl_initial)
-          .set("hpwl_final", r.par->hpwl_final)
-          .set("critical_path_ns", r.par->critical_path_ns);
+      const PlaceResult& placement = r.par->placement;
+      par.set("placed_cells", placement.placed_cells)
+          .set("hpwl_initial", placement.hpwl_initial)
+          .set("hpwl_final", placement.hpwl_final)
+          .set("critical_path_ns", placement.critical_path_ns);
     } else {
       par.set("failure_reason", r.par->failure_reason);
     }
@@ -405,24 +406,25 @@ Json to_json(const RankResponse& r) {
 }
 
 Json to_json(const FaultsResponse& r) {
+  const SimResult& sim = r.report;
   Json j = Json::object();
   j.set("device", r.device)
       .set("fault_rate", r.fault_rate)
       .set("fault_seed", r.fault_seed)
       .set("max_retries", r.max_retries)
-      .set("makespan_s", r.makespan_s)
-      .set("reconfig_count", r.reconfig_count)
-      .set("total_reconfig_s", r.total_reconfig_s)
-      .set("failed_reconfigs", r.failed_reconfigs)
-      .set("dropped_tasks", r.dropped_tasks)
-      .set("rescheduled_tasks", r.rescheduled_tasks)
-      .set("retry_attempts", r.retry_attempts)
-      .set("total_retry_backoff_s", r.total_retry_backoff_s)
-      .set("total_fault_wasted_s", r.total_fault_wasted_s)
-      .set("total_penalty_s", r.total_penalty_s)
+      .set("makespan_s", sim.makespan_s)
+      .set("reconfig_count", sim.reconfig_count)
+      .set("total_reconfig_s", sim.total_reconfig_s)
+      .set("failed_reconfigs", sim.failed_reconfigs)
+      .set("dropped_tasks", sim.dropped_tasks)
+      .set("rescheduled_tasks", sim.rescheduled_tasks)
+      .set("retry_attempts", sim.retry_attempts)
+      .set("total_retry_backoff_s", sim.total_retry_backoff_s)
+      .set("total_fault_wasted_s", sim.total_fault_wasted_s)
+      .set("total_penalty_s", sim.total_penalty_s)
       .set("injected_faults", r.injected_faults)
       .set("injected_stalls", r.injected_stalls)
-      .set("effective_reconfig_s", r.effective_reconfig_s);
+      .set("effective_reconfig_s", r.effective_reconfig_s());
   set_stats(j, r.stats);
   return j;
 }
@@ -430,17 +432,18 @@ Json to_json(const FaultsResponse& r) {
 Json to_json(const DevicesResponse& r) {
   Json j = Json::object();
   Json devices = Json::array();
-  for (const DeviceSummary& dev : r.devices) {
+  for (const Device& dev : r.devices) {
+    const Fabric& fabric = dev.fabric;
     Json d = Json::object();
     d.set("name", dev.name)
-        .set("family", dev.family)
-        .set("rows", dev.rows)
-        .set("clb_cols", dev.clb_cols)
-        .set("dsp_cols", dev.dsp_cols)
-        .set("bram_cols", dev.bram_cols)
-        .set("clbs", dev.clbs)
-        .set("dsps", dev.dsps)
-        .set("bram36s", dev.bram36s);
+        .set("family", family_name(fabric.family()))
+        .set("rows", fabric.rows())
+        .set("clb_cols", fabric.column_count(ColumnType::kClb))
+        .set("dsp_cols", fabric.column_count(ColumnType::kDsp))
+        .set("bram_cols", fabric.column_count(ColumnType::kBram))
+        .set("clbs", fabric.total_resources(ColumnType::kClb))
+        .set("dsps", fabric.total_resources(ColumnType::kDsp))
+        .set("bram36s", fabric.total_resources(ColumnType::kBram));
     devices.push_back(std::move(d));
   }
   j.set("devices", std::move(devices));
@@ -449,62 +452,66 @@ Json to_json(const DevicesResponse& r) {
 }
 
 Json to_json(const OptimizeResponse& r) {
+  using opt::MoveKind;
+  const opt::OptimizeResult& result = r.result;
   Json j = Json::object();
   j.set("device", r.device)
       .set("prm_count", r.prm_count)
       .set("group_count", r.group_count)
       .set("seed", r.seed)
-      .set("greedy_rejected_prms", r.greedy_rejected_prms)
-      .set("greedy_rejection_rate", r.greedy_rejection_rate)
-      .set("greedy_makespan_s", r.greedy_makespan_s)
-      .set("greedy_fragmentation", r.greedy_fragmentation)
-      .set("greedy_cost", r.greedy_cost)
-      .set("greedy_placed_groups", r.greedy_placed_groups)
-      .set("anneal_rejected_prms", r.anneal_rejected_prms)
-      .set("anneal_rejection_rate", r.anneal_rejection_rate)
-      .set("anneal_makespan_s", r.anneal_makespan_s)
-      .set("anneal_fragmentation", r.anneal_fragmentation)
-      .set("anneal_cost", r.anneal_cost)
-      .set("anneal_placed_groups", r.anneal_placed_groups)
-      .set("anneal_relocation_s", r.anneal_relocation_s)
-      .set("proposals", r.proposals)
-      .set("accepted", r.accepted)
-      .set("accepted_swap", r.accepted_swap)
-      .set("accepted_relocate", r.accepted_relocate)
-      .set("accepted_resize", r.accepted_resize)
-      .set("accepted_compact", r.accepted_compact)
-      .set("cost_verified", r.cost_verified)
+      .set("greedy_rejected_prms", result.greedy.rejected_prms)
+      .set("greedy_rejection_rate", result.greedy_rejection_rate(r.prm_count))
+      .set("greedy_makespan_s", result.greedy.makespan_s)
+      .set("greedy_fragmentation", result.greedy_frag.fragmentation)
+      .set("greedy_cost", result.greedy.cost)
+      .set("greedy_placed_groups", result.greedy.placed_groups)
+      .set("anneal_rejected_prms", result.best.rejected_prms)
+      .set("anneal_rejection_rate", result.best_rejection_rate(r.prm_count))
+      .set("anneal_makespan_s", result.best.makespan_s)
+      .set("anneal_fragmentation", result.best_frag.fragmentation)
+      .set("anneal_cost", result.best.cost)
+      .set("anneal_placed_groups", result.best.placed_groups)
+      .set("anneal_relocation_s", result.best.relocation_s)
+      .set("proposals", result.proposals)
+      .set("accepted", result.accepted)
+      .set("accepted_swap", result.accepted_of(MoveKind::kSwap))
+      .set("accepted_relocate", result.accepted_of(MoveKind::kRelocate))
+      .set("accepted_resize", result.accepted_of(MoveKind::kResize))
+      .set("accepted_compact", result.accepted_of(MoveKind::kCompact))
+      .set("cost_verified", result.cost_verified)
       .set("bitstream_verified", r.bitstream_verified);
   set_stats(j, r.stats);
   return j;
 }
 
 Json to_json(const ScheduleResponse& r) {
+  const sched::Report& report = r.report;
   Json j = Json::object();
   j.set("device", r.device)
-      .set("policy", r.policy)
+      .set("policy", sched::policy_name(r.policy))
       .set("slot_count", r.slot_count)
       .set("prm_count", r.prm_count)
-      .set("task_count", r.task_count)
+      .set("task_count", static_cast<u64>(r.tasks.size()))
       .set("fault_rate", r.fault_rate)
-      .set("makespan_s", r.makespan_s)
-      .set("throughput_per_s", r.throughput_per_s)
-      .set("reuse_hits", r.reuse_hits)
-      .set("reconfig_count", r.reconfig_count)
-      .set("total_reconfig_s", r.total_reconfig_s)
-      .set("reconfig_seconds_per_task", r.reconfig_seconds_per_task)
-      .set("deadline_misses", r.deadline_misses)
-      .set("cpu_fallbacks", r.cpu_fallbacks)
-      .set("prefetches_issued", r.prefetches_issued)
-      .set("prefetched_reconfigs", r.prefetched_reconfigs)
-      .set("mean_wait_s", r.mean_wait_s)
-      .set("mean_turnaround_s", r.mean_turnaround_s);
-  if (!r.task_outcomes.empty()) {
+      .set("makespan_s", report.makespan_s)
+      .set("throughput_per_s", report.throughput_per_s)
+      .set("reuse_hits", report.reuse_hits)
+      .set("reconfig_count", report.reconfig_count)
+      .set("total_reconfig_s", report.total_reconfig_s)
+      .set("reconfig_seconds_per_task", report.reconfig_seconds_per_task)
+      .set("deadline_misses", report.deadline_misses)
+      .set("cpu_fallbacks", report.cpu_fallbacks)
+      .set("prefetches_issued", report.prefetches_issued)
+      .set("prefetched_reconfigs", report.prefetched_reconfigs)
+      .set("mean_wait_s", report.mean_wait_s)
+      .set("mean_turnaround_s", report.mean_turnaround_s);
+  if (r.detail && !r.tasks.empty()) {
     Json tasks = Json::array();
-    for (const ScheduleTaskOutcome& t : r.task_outcomes) {
+    for (std::size_t i = 0; i < r.tasks.size(); ++i) {
+      const sched::TaskOutcome& t = report.tasks[i];
       Json o = Json::object();
-      o.set("name", t.name)
-          .set("prm", t.prm)
+      o.set("name", r.tasks[i].name)
+          .set("prm", r.tasks[i].prm)
           .set("slot", t.slot)
           .set("cpu_fallback", t.cpu_fallback)
           .set("reconfigured", t.reconfigured)

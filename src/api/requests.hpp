@@ -5,20 +5,30 @@
 // the CLI, a batch stream, a serve connection, and an embedding
 // partitioner/scheduler share one evaluation path. Every request default
 // is written once, in the struct's member initializer: from-JSON
-// overwrites only the members a request carries. The wire schema is
-// documented in README.md ("Batch mode & the JSONL API").
+// overwrites only the members a request carries. Every response holds the
+// domain result it reports (a SynthesisReport, PrrPlan, ParResult, event
+// core Report, OptimizeResult, the catalog's Devices...) plus the few
+// request echoes the wire carries; to_json and the CLI renderers read
+// that result directly. The wire schema is documented in README.md
+// ("Batch mode & the JSONL API").
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cost/prr_search.hpp"
+#include "device/device_db.hpp"
 #include "dse/device_select.hpp"
 #include "dse/explorer.hpp"
+#include "multitask/simulator.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/request_stats.hpp"
+#include "opt/optimizer.hpp"
+#include "par/par.hpp"
+#include "sched/scheduler.hpp"
 #include "synth/report.hpp"
 #include "util/json.hpp"
 
@@ -71,16 +81,6 @@ struct PlanRequest {
   bool cross_check = true;
 };
 
-/// PAR cross-check summary (only when the netlist was synthesized here).
-struct ParCrossCheck {
-  bool routed = false;
-  std::string failure_reason;
-  u64 placed_cells = 0;
-  u64 hpwl_initial = 0;
-  u64 hpwl_final = 0;
-  double critical_path_ns = 0;
-};
-
 /// L-shaped alternative summary (only when PlanRequest::shaped).
 struct ShapedAlternative {
   bool beats_rectangle = false;
@@ -92,7 +92,8 @@ struct ShapedAlternative {
 struct PlanResponse {
   std::string device;        ///< canonical part name
   PrrPlan plan;
-  std::optional<ParCrossCheck> par;
+  /// PAR cross-check (only when the netlist was synthesized here).
+  std::optional<ParResult> par;
   std::optional<u64> generated_bytes;  ///< set when cross_check ran
   std::optional<ShapedAlternative> shaped;
   std::optional<obs::RequestStatsSummary> stats;  ///< see SynthResponse
@@ -192,22 +193,19 @@ struct FaultsResponse {
   double fault_rate = 0;     ///< effective (post-default) rate
   u64 fault_seed = 0;        ///< effective injector seed
   u32 max_retries = 0;       ///< effective retry budget
-  double makespan_s = 0;
-  u64 reconfig_count = 0;    ///< successful reconfigurations
-  double total_reconfig_s = 0;
-  u64 failed_reconfigs = 0;
-  u64 dropped_tasks = 0;
-  u64 rescheduled_tasks = 0;
-  u64 retry_attempts = 0;    ///< transfer attempts beyond the first
-  double total_retry_backoff_s = 0;
-  double total_fault_wasted_s = 0;
-  double total_penalty_s = 0;
   u64 injected_faults = 0;   ///< corrupted attempts drawn by the injector
   u64 injected_stalls = 0;
+  SimResult report;          ///< the simulator's run under the injector
+  std::optional<obs::RequestStatsSummary> stats;  ///< see SynthResponse
+
   /// Mean effective seconds per successful reconfiguration, including
   /// retry, backoff, and wasted-attempt time (0 when none succeeded).
-  double effective_reconfig_s = 0;
-  std::optional<obs::RequestStatsSummary> stats;  ///< see SynthResponse
+  double effective_reconfig_s() const {
+    return report.reconfig_count != 0
+               ? report.total_reconfig_s /
+                     static_cast<double>(report.reconfig_count)
+               : 0.0;
+  }
 };
 
 // ------------------------------------------------------------- optimize --
@@ -237,29 +235,9 @@ struct OptimizeResponse {
   u32 prm_count = 0;
   u32 group_count = 0;
   u64 seed = 0;
-  // Greedy baseline (index-order placement, no moves).
-  u64 greedy_rejected_prms = 0;
-  double greedy_rejection_rate = 0;
-  double greedy_makespan_s = 0;
-  double greedy_fragmentation = 0;
-  double greedy_cost = 0;
-  u64 greedy_placed_groups = 0;
-  // After annealing.
-  u64 anneal_rejected_prms = 0;
-  double anneal_rejection_rate = 0;
-  double anneal_makespan_s = 0;
-  double anneal_fragmentation = 0;
-  double anneal_cost = 0;
-  u64 anneal_placed_groups = 0;
-  double anneal_relocation_s = 0;  ///< runtime-move ICAP time spent
-  u64 proposals = 0;
-  u64 accepted = 0;
-  u64 accepted_swap = 0;
-  u64 accepted_relocate = 0;
-  u64 accepted_resize = 0;
-  u64 accepted_compact = 0;
-  /// Re-evaluating the final layout reproduced the accepted cost exactly.
-  bool cost_verified = false;
+  /// Greedy baseline (index-order placement, no moves) and the annealed
+  /// layout, with the move accounting.
+  opt::OptimizeResult result;
   /// Every placed plan's generated bitstream (through the bitstream
   /// cache) matched its Eq. 18 model size.
   bool bitstream_verified = false;
@@ -299,60 +277,25 @@ struct ScheduleRequest {
   bool detail = false;            ///< include per-task outcomes
 };
 
-/// Per-task outcome on the wire (ScheduleRequest::detail).
-struct ScheduleTaskOutcome {
-  std::string name;
-  u32 prm = 0;
-  u32 slot = 0;
-  bool cpu_fallback = false;
-  bool reconfigured = false;
-  bool prefetched = false;
-  bool deadline_miss = false;
-  double reconfig_s = 0;
-  double start_s = 0;
-  double finish_s = 0;
-  double wait_s = 0;
-};
-
 struct ScheduleResponse {
   std::string device;
-  std::string policy;
+  sched::Policy policy = sched::Policy::kFcfs;
   u32 slot_count = 0;        ///< slots actually placed on the fabric
   u32 prm_count = 0;
-  u64 task_count = 0;
   double fault_rate = 0;     ///< effective (post-default) rate
-  double makespan_s = 0;
-  double throughput_per_s = 0;
-  u64 reuse_hits = 0;
-  u64 reconfig_count = 0;
-  double total_reconfig_s = 0;
-  double reconfig_seconds_per_task = 0;
-  u64 deadline_misses = 0;
-  u64 cpu_fallbacks = 0;
-  u64 prefetches_issued = 0;
-  u64 prefetched_reconfigs = 0;
-  double mean_wait_s = 0;
-  double mean_turnaround_s = 0;
-  std::vector<ScheduleTaskOutcome> task_outcomes;  ///< only when detail
+  bool detail = false;       ///< serialize the per-task outcomes
+  /// The arrival stream the run used; report.tasks[i] is tasks[i]'s outcome.
+  std::vector<sched::Task> tasks;
+  sched::Report report;
   std::optional<obs::RequestStatsSummary> stats;  ///< see SynthResponse
 };
 
 // -------------------------------------------------------------- devices --
 
-struct DeviceSummary {
-  std::string name;
-  std::string family;
-  u32 rows = 0;
-  u32 clb_cols = 0;
-  u32 dsp_cols = 0;
-  u32 bram_cols = 0;
-  u64 clbs = 0;
-  u64 dsps = 0;
-  u64 bram36s = 0;
-};
-
 struct DevicesResponse {
-  std::vector<DeviceSummary> devices;
+  /// The process-wide catalog (DeviceDb::instance(), which outlives every
+  /// response), in catalog order.
+  std::span<const Device> devices;
   std::optional<obs::RequestStatsSummary> stats;  ///< see SynthResponse
 };
 

@@ -8,6 +8,7 @@
 // internal fragmentation.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
 #include "device/fabric.hpp"
@@ -28,6 +29,17 @@ struct PrmRequirements {
   static PrmRequirements from_report(const SynthesisReport& report) {
     return PrmRequirements{report.lut_ff_pairs, report.slice_luts,
                            report.slice_ffs, report.dsps, report.brams};
+  }
+
+  /// The shared-PRR rule: grow to the element-wise maximum with `other`,
+  /// so one PRR sized for the result hosts either PRM.
+  PrmRequirements& merge(const PrmRequirements& other) {
+    lut_ff_pairs = std::max(lut_ff_pairs, other.lut_ff_pairs);
+    luts = std::max(luts, other.luts);
+    ffs = std::max(ffs, other.ffs);
+    dsps = std::max(dsps, other.dsps);
+    brams = std::max(brams, other.brams);
+    return *this;
   }
 
   bool operator==(const PrmRequirements&) const = default;

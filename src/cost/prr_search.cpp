@@ -168,16 +168,8 @@ std::optional<PrrPlan> find_shared_prr(std::span<const PrmRequirements> reqs,
                                        const Fabric& fabric,
                                        const SearchOptions& options) {
   if (reqs.empty()) return std::nullopt;
-  // Element-wise maximum requirement: the PRR must host the largest
-  // per-resource demand across its associated PRMs.
   PrmRequirements merged;
-  for (const PrmRequirements& r : reqs) {
-    merged.lut_ff_pairs = std::max(merged.lut_ff_pairs, r.lut_ff_pairs);
-    merged.luts = std::max(merged.luts, r.luts);
-    merged.ffs = std::max(merged.ffs, r.ffs);
-    merged.dsps = std::max(merged.dsps, r.dsps);
-    merged.brams = std::max(merged.brams, r.brams);
-  }
+  for (const PrmRequirements& r : reqs) merged.merge(r);
   return find_prr(merged, fabric, options);
 }
 

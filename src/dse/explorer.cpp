@@ -22,19 +22,10 @@ DesignPoint evaluate_partition(const Partition& partition,
   // Size and floorplan one shared PRR per group.
   Floorplanner floorplanner{fabric};
   for (const auto& group : partition) {
-    std::vector<PrmRequirements> reqs;
-    reqs.reserve(group.size());
-    for (const u32 prm : group) reqs.push_back(prms[prm].req);
     // Shared PRR demand: element-wise max (find_shared_prr semantics), but
     // placed through the occupancy-aware floorplanner.
     PrmRequirements merged;
-    for (const PrmRequirements& r : reqs) {
-      merged.lut_ff_pairs = std::max(merged.lut_ff_pairs, r.lut_ff_pairs);
-      merged.luts = std::max(merged.luts, r.luts);
-      merged.ffs = std::max(merged.ffs, r.ffs);
-      merged.dsps = std::max(merged.dsps, r.dsps);
-      merged.brams = std::max(merged.brams, r.brams);
-    }
+    for (const u32 prm : group) merged.merge(prms[prm].req);
     const auto placed = floorplanner.place("group", merged);
     if (!placed) {
       point.infeasible_reason = "no room for a PRR group on the fabric";

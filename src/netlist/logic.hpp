@@ -18,13 +18,8 @@ inline constexpr u64 kBuf = 0x2;        // 1 input
 inline constexpr u64 kAnd2 = 0x8;       // 2 inputs
 inline constexpr u64 kOr2 = 0xE;        // 2 inputs
 inline constexpr u64 kXor2 = 0x6;       // 2 inputs
-inline constexpr u64 kNand2 = 0x7;      // 2 inputs
-inline constexpr u64 kNor2 = 0x1;       // 2 inputs
 inline constexpr u64 kMux2 = 0xE4;      // 3 inputs: (sel, a, b) -> sel?b:a
-inline constexpr u64 kSum3 = 0x96;      // 3 inputs: full-adder sum (parity)
-inline constexpr u64 kMaj3 = 0xE8;      // 3 inputs: full-adder carry
 inline constexpr u64 kOr3 = 0xFE;       // 3 inputs
-inline constexpr u64 kXor3 = 0x96;      // 3 inputs
 
 /// Evaluate a k-input truth table on packed input bits.
 constexpr bool eval(u64 table, u32 input_bits) {

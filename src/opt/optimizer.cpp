@@ -29,13 +29,7 @@ void place_unplaced(Floorplanner& fp, std::span<const GroupSpec> groups) {
 PrmRequirements group_requirements(const OptInstance& instance, u32 g) {
   PrmRequirements merged;
   for (std::size_t i = 0; i < instance.prms.size(); ++i) {
-    if (instance.group_of[i] != g) continue;
-    const PrmRequirements& req = instance.prms[i].req;
-    merged.lut_ff_pairs = std::max(merged.lut_ff_pairs, req.lut_ff_pairs);
-    merged.luts = std::max(merged.luts, req.luts);
-    merged.ffs = std::max(merged.ffs, req.ffs);
-    merged.dsps = std::max(merged.dsps, req.dsps);
-    merged.brams = std::max(merged.brams, req.brams);
+    if (instance.group_of[i] == g) merged.merge(instance.prms[i].req);
   }
   return merged;
 }

@@ -122,6 +122,10 @@ struct OptimizeResult {
   /// exactly (the accepted-move cost-delta acceptance check).
   bool cost_verified = false;
 
+  /// Accepted moves of one kind.
+  u64 accepted_of(MoveKind kind) const {
+    return accepted_by_kind[static_cast<std::size_t>(kind)];
+  }
   double greedy_rejection_rate(u64 prm_count) const {
     return prm_count == 0 ? 0.0
                           : static_cast<double>(greedy.rejected_prms) /

@@ -265,7 +265,7 @@ TEST(Engine, DevicesMatchesCatalog) {
   ASSERT_EQ(response.devices.size(), all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(response.devices[i].name, all[i].name);
-    EXPECT_EQ(response.devices[i].rows, all[i].fabric.rows());
+    EXPECT_EQ(response.devices[i].fabric.rows(), all[i].fabric.rows());
   }
 }
 
@@ -494,6 +494,130 @@ TEST(ResponseJson, PlanResponseFields) {
   EXPECT_GT(plan->find("bitstream")->find("total_bytes")->as_u64(), 0u);
   EXPECT_TRUE(parsed.find("model_match")->as_bool());
   ASSERT_NE(parsed.find("shaped"), nullptr);
+}
+
+// Wire branches that no CLI golden reaches, pinned byte-for-byte.
+
+TEST(ResponseJson, PlanWithUnroutedPar) {
+  const Engine engine;
+  // A carry chain longer than the carry sites of the one-CLB PRR its
+  // single LUT sizes: the PRR plan succeeds and PAR fails.
+  std::string text = "netlist carries\n";
+  for (int i = 0; i < 4; ++i) {
+    text += "cell INPUT in" + std::to_string(i) + " 0 0 | | in" +
+            std::to_string(i) + "_o0\n";
+  }
+  std::string carry_in = "in0_o0";
+  for (int c = 0; c < 48; ++c) {
+    const std::string name = "c" + std::to_string(c);
+    text += "cell CARRY " + name + " 0 0 | " + carry_in;
+    for (int k = 0; k < 8; ++k) {
+      text += " in" + std::to_string((c + k) % 4) + "_o0";
+    }
+    text += " |";
+    for (int k = 0; k < 5; ++k) text += " " + name + "_o" + std::to_string(k);
+    text += "\n";
+    carry_in = name + "_o4";
+  }
+  text += "cell OUTPUT cout 0 0 | " + carry_in + " |\n";
+  text += "cell LUT l 6 0 | in0_o0 in1_o0 | l_o0\n";
+  text += "cell OUTPUT lo 0 0 | l_o0 |\n";
+  const std::string path = testing::TempDir() + "/api_test_carries.net";
+  {
+    std::ofstream out{path};
+    out << text;
+  }
+  api::PlanRequest request;
+  request.device = "xc5vlx110t";
+  request.source.netlist_path = path;
+  const api::PlanResponse response = engine.plan(request);
+  ASSERT_TRUE(response.par.has_value());
+  EXPECT_FALSE(response.par->routed);
+  const char* want =
+      R"({"device":"xc5vlx110t","plan":{"organization":{"h":1,"clb_cols":1,)"
+      R"("dsp_cols":0,"bram_cols":0,"width":1,"size":1},)"
+      R"("window":{"first_col":0,"width":1},"first_row":0,)"
+      R"("utilization":{"clb":5,"ff":0,"lut":0.625,"dsp":0,"bram":0},)"
+      R"("bitstream":{"total_words":1558,"total_bytes":6232,)"
+      R"("config_frames_per_row":37}},"par":{"routed":false,)"
+      R"("failure_reason":"not enough carry-chain sites"},)"
+      R"("generated_bytes":6232,"model_match":true})";
+  EXPECT_EQ(api::to_json(response).dump(), want);
+}
+
+TEST(ResponseJson, ScheduleWithoutDetailHasNoTasks) {
+  const Engine engine;
+  api::ScheduleRequest request;
+  request.device = "xc6vlx240t";
+  request.prms = {"fir", "uart"};
+  request.tasks = 6;
+  request.seed = 7;
+  const api::ScheduleResponse response = engine.schedule(request);
+  EXPECT_EQ(response.tasks.size(), 6u);
+  const char* want =
+      R"({"device":"xc6vlx240t","policy":"fcfs","slot_count":2,)"
+      R"("prm_count":2,"task_count":6,"fault_rate":0,)"
+      R"("makespan_s":0.02537787872013146,)"
+      R"("throughput_per_s":236.42638008354857,"reuse_hits":4,)"
+      R"("reconfig_count":2,"total_reconfig_s":0.003830556030273438,)"
+      R"("reconfig_seconds_per_task":0.000638426005045573,)"
+      R"("deadline_misses":0,"cpu_fallbacks":0,"prefetches_issued":0,)"
+      R"("prefetched_reconfigs":0,"mean_wait_s":0.0007175721788249098,)"
+      R"("mean_turnaround_s":0.00450426331459774})";
+  EXPECT_EQ(api::to_json(response).dump(), want);
+}
+
+TEST(ResponseJson, NonStrictFaultsAtCertainFailure) {
+  const Engine engine;
+  api::FaultsRequest request;
+  request.device = "xc5vlx110t";
+  request.prms = {"fir"};
+  request.tasks = 4;
+  request.fault_rate = 1.0;
+  const api::FaultsResponse response = engine.faults(request);
+  EXPECT_EQ(response.report.reconfig_count, 0u);
+  EXPECT_EQ(response.effective_reconfig_s(), 0.0);
+  const char* want =
+      R"({"device":"xc5vlx110t","fault_rate":1,"fault_seed":24301,)"
+      R"("max_retries":3,"makespan_s":0.01665303976704436,)"
+      R"("reconfig_count":0,"total_reconfig_s":0,"failed_reconfigs":4,)"
+      R"("dropped_tasks":4,"rescheduled_tasks":0,"retry_attempts":12,)"
+      R"("total_retry_backoff_s":0.00028000000000000003,)"
+      R"("total_fault_wasted_s":0.0030992,"total_penalty_s":0,)"
+      R"("injected_faults":16,"injected_stalls":0,"effective_reconfig_s":0})";
+  EXPECT_EQ(api::to_json(response).dump(), want);
+}
+
+TEST(ResponseJson, ExploreWithInfeasiblePoint) {
+  const Engine engine;
+  // Three single-matmul PRRs need more rows of the one DSP column than the
+  // part has.
+  api::ExploreRequest request;
+  request.device = "xc4vlx60";
+  request.prms = {"matmul", "matmul", "matmul"};
+  request.tasks = 4;
+  const api::ExploreResponse response = engine.explore(request);
+  ASSERT_FALSE(response.points.empty());
+  EXPECT_FALSE(response.points.back().feasible);
+  const char* want =
+      R"({"device":"xc4vlx60","prms":["matmul","matmul","matmul"],)"
+      R"("points":[{"partition":[["matmul","matmul","matmul"]],)"
+      R"("feasible":true,"total_prr_area":24,)"
+      R"("total_bitstream_bytes":353532,"makespan_s":0.028689085015524918,)"
+      R"("total_reconfig_s":0.00091383},{"partition":[["matmul","matmul"],)"
+      R"(["matmul"]],"feasible":true,"total_prr_area":48,)"
+      R"("total_bitstream_bytes":353532,"makespan_s":0.02264882986802219,)"
+      R"("total_reconfig_s":0.00091383},{"partition":[["matmul","matmul"],)"
+      R"(["matmul"]],"feasible":true,"total_prr_area":48,)"
+      R"("total_bitstream_bytes":353532,"makespan_s":0.02264882986802219,)"
+      R"("total_reconfig_s":0.00091383},{"partition":[["matmul"],["matmul",)"
+      R"("matmul"]],"feasible":true,"total_prr_area":48,)"
+      R"("total_bitstream_bytes":353532,"makespan_s":0.02264882986802219,)"
+      R"("total_reconfig_s":0.00091383},{"partition":[["matmul"],)"
+      R"(["matmul"],["matmul"]],"feasible":false,)"
+      R"("reason":"no room for a PRR group on the fabric"}],)"
+      R"("pareto_count":4})";
+  EXPECT_EQ(api::to_json(response).dump(), want);
 }
 
 // ---------------------------------------------------------------- batch --

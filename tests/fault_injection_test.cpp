@@ -408,11 +408,11 @@ TEST(EngineFaults, ZeroRateIsClean) {
   request.tasks = 20;
   const api::FaultsResponse response = engine.faults(request);
   EXPECT_EQ(response.fault_rate, 0.0);
-  EXPECT_EQ(response.dropped_tasks, 0u);
-  EXPECT_EQ(response.retry_attempts, 0u);
+  EXPECT_EQ(response.report.dropped_tasks, 0u);
+  EXPECT_EQ(response.report.retry_attempts, 0u);
   EXPECT_EQ(response.injected_faults, 0u);
-  EXPECT_GT(response.reconfig_count, 0u);
-  EXPECT_GT(response.effective_reconfig_s, 0.0);
+  EXPECT_GT(response.report.reconfig_count, 0u);
+  EXPECT_GT(response.effective_reconfig_s(), 0.0);
 }
 
 TEST(EngineFaults, FixedFaultSeedIsBitReproducible) {
@@ -425,9 +425,9 @@ TEST(EngineFaults, FixedFaultSeedIsBitReproducible) {
   request.fault_seed = u64{99};
   const api::FaultsResponse a = engine.faults(request);
   const api::FaultsResponse b = engine.faults(request);
-  EXPECT_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.retry_attempts, b.retry_attempts);
-  EXPECT_EQ(a.dropped_tasks, b.dropped_tasks);
+  EXPECT_EQ(a.report.makespan_s, b.report.makespan_s);
+  EXPECT_EQ(a.report.retry_attempts, b.report.retry_attempts);
+  EXPECT_EQ(a.report.dropped_tasks, b.report.dropped_tasks);
   EXPECT_EQ(a.injected_faults, b.injected_faults);
   EXPECT_GT(a.injected_faults, 0u);
 }

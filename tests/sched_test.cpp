@@ -312,10 +312,10 @@ TEST(EngineSchedule, PrefetchAccountingMatchesBitstreamCache) {
   const BitstreamCacheStats after = bitstream_cache_stats();
   // Each issued prefetch is exactly one generate_bitstream_cached call;
   // scheduling does no other bitstream generation.
-  EXPECT_GE(response.prefetches_issued, 1u);
-  EXPECT_LE(response.prefetches_issued, 3u);  // at most once per PRM
+  EXPECT_GE(response.report.prefetches_issued, 1u);
+  EXPECT_LE(response.report.prefetches_issued, 3u);  // at most once per PRM
   EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
-            response.prefetches_issued);
+            response.report.prefetches_issued);
   EXPECT_GE(after.misses - before.misses, 1u);
 }
 

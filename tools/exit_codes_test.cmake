@@ -79,6 +79,22 @@ foreach(cmd "bitstream;fir;--device;xc5vlx110t;-o;/nonexistent/dir/x.bit"
   endif()
 endforeach()
 
+# --dump-trace writes the arrival stream of a run that succeeded: a
+# workload the run rejects (an unknown name, or "trace" with no trace
+# text) is a usage error that leaves no file and no "wrote" line.
+set(dump ${WORK}/exit_codes_dump.jsonl)
+foreach(workload bogus trace)
+  set(label "schedule --workload ${workload} --dump-trace")
+  file(REMOVE ${dump})
+  execute_process(COMMAND ${CLI} schedule fir uart --device xc5vlx110t
+                  --workload ${workload} --dump-trace ${dump}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+  expect_rc(${rc} 2 "${label}")
+  if(EXISTS ${dump} OR out MATCHES "wrote")
+    message(FATAL_ERROR "${label}: wrote a trace the run rejected: ${out}")
+  endif()
+endforeach()
+
 # Infeasible plan: runtime failure, verdict on stdout.
 execute_process(COMMAND ${CLI} plan matmul --device xc5vlx110t
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
