@@ -24,8 +24,6 @@ DeadlineScope::~DeadlineScope() {
   if (owner_) t_active = false;
 }
 
-bool deadline_active() noexcept { return t_active; }
-
 void check_deadline(const char* phase) {
   if (!t_active) return;
   const auto now = DeadlineClock::now();
@@ -36,12 +34,6 @@ void check_deadline(const char* phase) {
   throw DeadlineError{"deadline exceeded at phase '" + std::string{phase} +
                       "' (" + std::to_string(over_ns.count() / 1000000) +
                       " ms over budget)"};
-}
-
-std::optional<std::chrono::nanoseconds> deadline_remaining() noexcept {
-  if (!t_active) return std::nullopt;
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-      t_deadline - DeadlineClock::now());
 }
 
 }  // namespace prcost::api

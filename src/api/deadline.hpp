@@ -18,7 +18,6 @@
 #pragma once
 
 #include <chrono>
-#include <optional>
 
 namespace prcost::api {
 
@@ -38,15 +37,8 @@ class DeadlineScope {
   bool owner_ = false;
 };
 
-/// True when a DeadlineScope is active on this thread.
-bool deadline_active() noexcept;
-
 /// Throws DeadlineError naming `phase` when the active deadline has
 /// passed; no-op when no scope is active. Call at phase boundaries.
 void check_deadline(const char* phase);
-
-/// Remaining budget of the active deadline (negative when expired);
-/// nullopt when no scope is active.
-std::optional<std::chrono::nanoseconds> deadline_remaining() noexcept;
 
 }  // namespace prcost::api

@@ -4,14 +4,12 @@
 #include <unordered_set>
 
 #include "bitstream/parser.hpp"
-#include "util/error.hpp"
 
 namespace prcost {
-namespace {
 
-/// One scan counting the RLE runs in `words` (each run emits a
-/// (count, word) pair), shared by rle_compress and measure_rle.
-u64 count_runs(std::span<const u32> words) {
+CompressionStats measure_rle(std::span<const u32> words) {
+  // Each run of equal words (at most 2^32 - 1 long) codes as one
+  // (count, word) pair.
   u64 runs = 0;
   std::size_t i = 0;
   while (i < words.size()) {
@@ -24,49 +22,9 @@ u64 count_runs(std::span<const u32> words) {
     ++runs;
     i += run;
   }
-  return runs;
-}
-
-}  // namespace
-
-std::vector<u32> rle_compress(std::span<const u32> words) {
-  std::vector<u32> out;
-  out.reserve(2 * count_runs(words));
-  std::size_t i = 0;
-  while (i < words.size()) {
-    const u32 word = words[i];
-    u32 run = 1;
-    while (i + run < words.size() && words[i + run] == word &&
-           run < 0xFFFFFFFFu) {
-      ++run;
-    }
-    out.push_back(run);
-    out.push_back(word);
-    i += run;
-  }
-  return out;
-}
-
-std::vector<u32> rle_decompress(std::span<const u32> pairs) {
-  if (pairs.size() % 2 != 0) {
-    throw ParseError{"rle_decompress: odd pair stream"};
-  }
-  u64 total = 0;
-  for (std::size_t i = 0; i < pairs.size(); i += 2) {
-    total = checked_add(total, pairs[i]);
-  }
-  std::vector<u32> out;
-  out.reserve(total);
-  for (std::size_t i = 0; i < pairs.size(); i += 2) {
-    out.insert(out.end(), pairs[i], pairs[i + 1]);
-  }
-  return out;
-}
-
-CompressionStats measure_rle(std::span<const u32> words) {
   CompressionStats stats;
   stats.original_words = words.size();
-  stats.compressed_words = 2 * count_runs(words);
+  stats.compressed_words = 2 * runs;
   return stats;
 }
 
@@ -77,29 +35,6 @@ double FrameRedundancy::mfwr_ratio(u32 frame_size) const {
       static_cast<double>(unique_frames) * frame_size +
       3.0 * static_cast<double>(total_frames - unique_frames);
   return compressed / full;
-}
-
-FrameRedundancy analyze_frames(std::span<const u32> payload, u32 frame_size) {
-  if (frame_size == 0) throw ContractError{"analyze_frames: zero frame size"};
-  if (payload.size() % frame_size != 0) {
-    throw ContractError{"analyze_frames: payload not frame-aligned"};
-  }
-  FrameRedundancy result;
-  std::unordered_set<std::string> seen;
-  for (std::size_t f = 0; f < payload.size() / frame_size; ++f) {
-    const auto frame = payload.subspan(f * frame_size, frame_size);
-    ++result.total_frames;
-    bool zero = true;
-    std::string key;
-    key.reserve(frame_size * 4);
-    for (const u32 word : frame) {
-      if (word != 0) zero = false;
-      key.append(reinterpret_cast<const char*>(&word), 4);
-    }
-    if (zero) ++result.zero_frames;
-    if (seen.insert(std::move(key)).second) ++result.unique_frames;
-  }
-  return result;
 }
 
 FrameRedundancy analyze_bitstream_frames(std::span<const u32> bitstream,

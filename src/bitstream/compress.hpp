@@ -5,7 +5,7 @@
 // this module measures it on concrete bitstreams two ways:
 //
 //  * word-level run-length coding (what FaRM's hardware decompressor
-//    implements), with a lossless round-trip;
+//    implements);
 //  * frame-redundancy analysis for MFWR-style compression: the Xilinx
 //    configuration logic has a Multiple Frame Write command (MFWR) that
 //    writes one FDRI frame to many addresses, so a bitstream whose frames
@@ -33,13 +33,8 @@ struct CompressionStats {
   }
 };
 
-/// Word-level run-length encode: pairs of (run length, word).
-std::vector<u32> rle_compress(std::span<const u32> words);
-
-/// Inverse of rle_compress; throws ParseError on odd-length input.
-std::vector<u32> rle_decompress(std::span<const u32> pairs);
-
-/// Compress and report the ratio without keeping the output.
+/// Size of the word-level run-length code of `words` - one (run length,
+/// word) pair per run - without building it.
 CompressionStats measure_rle(std::span<const u32> words);
 
 /// Frame-level redundancy of a full bitstream word stream.
@@ -51,11 +46,6 @@ struct FrameRedundancy {
   /// full size + ~3 command words per duplicated frame write.
   double mfwr_ratio(u32 frame_size) const;
 };
-
-/// Split `words` into frame_size-word frames and count duplicates. The
-/// caller passes the payload region (e.g. every FDRI burst); the helper
-/// overload below extracts bursts from a full bitstream.
-FrameRedundancy analyze_frames(std::span<const u32> payload, u32 frame_size);
 
 /// Analyze every FDRI burst of a complete partial bitstream.
 FrameRedundancy analyze_bitstream_frames(std::span<const u32> bitstream,

@@ -3,7 +3,6 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -85,12 +84,10 @@ static_assert(mul_mod(x_pow_mod(37 * 3), 0x0BADF00Du) ==
 // trailing zero shifts of the address step pre-folded in (the fold is
 // legal because advancing by zero bits is linear over GF(2)); addr[] is
 // the address bits' own 5-bit contribution, separable for the same
-// linearity reason. byte_[] is the plain reflected byte table, used by the
-// portable crc32c_bytes.
+// linearity reason.
 struct Tables {
   u32 word[4][256];
   u32 addr[32];
-  u32 byte_[256];
 };
 
 constexpr Tables make_tables() {
@@ -112,7 +109,6 @@ constexpr Tables make_tables() {
     }
   }
   for (u32 i = 0; i < 32; ++i) t.addr[i] = zero_steps(i, 5);
-  for (u32 i = 0; i < 256; ++i) t.byte_[i] = sliced[0][i];
   return t;
 }
 
@@ -211,21 +207,6 @@ __attribute__((target("sse4.2"))) u32 span_hw_crc32(u32 state, u32 reg5,
   return s32;
 }
 
-__attribute__((target("sse4.2"))) u32 crc32c_bytes_hw(const unsigned char* p,
-                                                     std::size_t size) {
-  u64 s = 0xFFFFFFFFu;
-  while (size >= 8) {
-    u64 chunk;
-    std::memcpy(&chunk, p, 8);
-    s = _mm_crc32_u64(s, chunk);
-    p += 8;
-    size -= 8;
-  }
-  u32 s32 = static_cast<u32>(s);
-  while (size-- > 0) s32 = _mm_crc32_u8(s32, *p++);
-  return s32 ^ 0xFFFFFFFFu;
-}
-
 bool cpu_has_sse42() { return __builtin_cpu_supports("sse4.2") != 0; }
 
 #else  // !PRCOST_CRC_X86
@@ -321,18 +302,6 @@ u32 config_crc_advance(CrcImpl impl, u32 state, ConfigReg reg,
                        std::span<const u32> words) {
   const u32 reg5 = static_cast<u32>(reg) & 0x1Fu;
   return span_with(impl, state, reg5, words.data(), words.size());
-}
-
-u32 crc32c_bytes(const void* data, std::size_t size) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-#if PRCOST_CRC_X86
-  if (cpu_has_sse42()) return crc32c_bytes_hw(p, size);
-#endif
-  u32 s = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    s = (s >> 8) ^ kTables.byte_[(s ^ p[i]) & 0xFFu];
-  }
-  return s ^ 0xFFFFFFFFu;
 }
 
 void ConfigCrc::update(ConfigReg reg, u32 data) {

@@ -77,10 +77,6 @@ const char* crc_impl_name(CrcImpl impl);
 u32 config_crc_advance(CrcImpl impl, u32 state, ConfigReg reg,
                        std::span<const u32> words);
 
-/// Plain CRC-32C over bytes (init/final-xor 0xFFFFFFFF, reflected), used
-/// to checksum cache snapshots. Uses the crc32 instruction when available.
-u32 crc32c_bytes(const void* data, std::size_t size);
-
 /// Z: advance a reflected-domain state by 37·`writes` zero bits, i.e.
 /// across `writes` register writes' worth of shifting with no input. Built
 /// once per burst length; applying it costs one 32-bit GF(2) product.

@@ -210,18 +210,9 @@ struct RowWords {
   u64 total() const { return cfg + bram; }
 };
 
-/// A row's configuration burst is (NCF_CLB + NCF_DSP + NCF_BRAM + 1)
-/// frames - Eq. (19)'s data component; its BRAM burst, when the window
-/// holds BRAM columns, is DF_BRAM frames per column plus one.
-RowWords row_words(const ColumnDemand& columns, const FamilyTraits& t) {
-  const u64 cfg_frames = checked_mul(columns.clb_cols, t.cf_clb) +
-                         checked_mul(columns.dsp_cols, t.cf_dsp) +
-                         checked_mul(columns.bram_cols, t.cf_bram) + 1;
-  const u64 bram_frames =
-      columns.bram_cols > 0 ? checked_mul(columns.bram_cols, t.df_bram) + 1
-                            : 0;
-  return RowWords{checked_mul(cfg_frames, t.frame_size),
-                  checked_mul(bram_frames, t.frame_size)};
+RowWords row_words(const StreamBand& band, const FamilyTraits& t) {
+  return RowWords{checked_mul(band.config_frames, t.frame_size),
+                  checked_mul(band.bram_frames, t.frame_size)};
 }
 
 /// One fabric row: the configuration burst, then the BRAM burst if any.
@@ -233,15 +224,6 @@ void emit_row(std::vector<u32>& out, ConfigCrc& crc, PayloadSource& payload,
     emit_burst(out, crc, payload, FrameBlock::kBramContent, row, first_col,
                words.bram);
   }
-}
-
-u32 resolve_idcode(const GeneratorOptions& options, Family family) {
-  return options.idcode != 0 ? options.idcode : default_idcode(family);
-}
-
-void count_generated(const std::vector<u32>& out) {
-  PRCOST_COUNT("bitstream.generated");
-  PRCOST_COUNT_N("bitstream.words_emitted", out.size());
 }
 
 }  // namespace
@@ -313,6 +295,45 @@ std::vector<u32> trailer_words(Family family, u32 crc_value) {
   return out;
 }
 
+void generate_stream_into(std::vector<u32>& out,
+                          std::span<const StreamBand> bands, Family family,
+                          const GeneratorOptions& options) {
+  const FamilyTraits& t = traits(family);
+  // The bands give the exact word count, so the output is sized once up
+  // front and never reallocates.
+  u64 payload_words = 0;
+  u64 total_words = t.iw + t.fw;
+  for (const StreamBand& band : bands) {
+    const RowWords words = row_words(band, t);
+    const u64 bursts = words.bram > 0 ? 2 : 1;
+    payload_words = checked_add(payload_words,
+                                checked_mul(band.rows, words.total()));
+    total_words = checked_add(
+        total_words,
+        checked_mul(band.rows, bursts * t.far_fdri + words.total()));
+  }
+  out.clear();
+  out.reserve(static_cast<std::size_t>(total_words));
+
+  const u32 idcode =
+      options.idcode != 0 ? options.idcode : default_idcode(family);
+  ConfigCrc crc = begin_stream(out, family, idcode);
+  if (out.size() != t.iw) {
+    throw ContractError{"generate_bitstream: header/IW mismatch"};
+  }
+  PayloadSource payload{options, payload_words};
+  for (const StreamBand& band : bands) {
+    const RowWords words = row_words(band, t);
+    for (u32 row = 0; row < band.rows; ++row) {
+      emit_row(out, crc, payload, words, band.first_row + row,
+               band.first_col);
+    }
+  }
+  end_stream(out, family, crc);
+  PRCOST_COUNT("bitstream.generated");
+  PRCOST_COUNT_N("bitstream.words_emitted", out.size());
+}
+
 void generate_bitstream_into(std::vector<u32>& out, const PrrPlan& plan,
                              Family family, const GeneratorOptions& options) {
   PRCOST_TRACE_SPAN("bitstream_gen");
@@ -321,111 +342,28 @@ void generate_bitstream_into(std::vector<u32>& out, const PrrPlan& plan,
   if (org.h == 0 || org.width() == 0) {
     throw ContractError{"generate_bitstream: empty PRR plan"};
   }
-  const u32 idcode = resolve_idcode(options, family);
-
-  // Eq. (18) predicts the exact word count, so the output is sized once up
-  // front and never reallocates.
-  const u64 total_words = estimate_bitstream(org, t).total_words;
-  out.clear();
-  out.reserve(static_cast<std::size_t>(total_words));
-
-  ConfigCrc crc = begin_stream(out, family, idcode);
-  if (out.size() != t.iw) {
-    throw ContractError{"generate_bitstream: header/IW mismatch"};
-  }
-
-  const RowWords words = row_words(org.columns, t);
-  PayloadSource payload{options, checked_mul(org.h, words.total())};
-  for (u32 row = 0; row < org.h; ++row) {
-    emit_row(out, crc, payload, words, plan.first_row + row,
-             plan.window.first_col);
-  }
-
-  end_stream(out, family, crc);
-  if (out.size() != total_words) {
+  // A row's configuration burst is (NCF_CLB + NCF_DSP + NCF_BRAM + 1)
+  // frames - Eq. (19)'s data component; its BRAM burst, when the window
+  // holds BRAM columns, is DF_BRAM frames per column plus one.
+  const ColumnDemand& columns = org.columns;
+  const StreamBand band{
+      plan.first_row, org.h, plan.window.first_col,
+      checked_mul(columns.clb_cols, t.cf_clb) +
+          checked_mul(columns.dsp_cols, t.cf_dsp) +
+          checked_mul(columns.bram_cols, t.cf_bram) + 1,
+      columns.bram_cols > 0 ? checked_mul(columns.bram_cols, t.df_bram) + 1
+                            : 0};
+  generate_stream_into(out, std::span{&band, 1}, family, options);
+  // Eq. (18) predicts the exact word count.
+  if (out.size() != estimate_bitstream(org, t).total_words) {
     throw ContractError{"generate_bitstream: Eq. (18) size mismatch"};
   }
-  count_generated(out);
 }
 
 std::vector<u32> generate_bitstream(const PrrPlan& plan, Family family,
                                     const GeneratorOptions& options) {
   std::vector<u32> out;
   generate_bitstream_into(out, plan, family, options);
-  return out;
-}
-
-std::vector<u32> generate_shaped_bitstream(const ShapedPrr& shape,
-                                           Family family,
-                                           const GeneratorOptions& options) {
-  PRCOST_TRACE_SPAN("bitstream_gen_shaped");
-  const FamilyTraits& t = traits(family);
-  if (shape.bands.empty()) {
-    throw ContractError{"generate_shaped_bitstream: no bands"};
-  }
-  const u32 idcode = resolve_idcode(options, family);
-
-  const u64 total_words = estimate_shaped_bitstream(shape, t).total_words;
-  std::vector<u32> out;
-  out.reserve(static_cast<std::size_t>(total_words));
-
-  ConfigCrc crc = begin_stream(out, family, idcode);
-  u64 payload_words = 0;
-  for (const PrrBand& band : shape.bands) {
-    const RowWords words = row_words(band.organization.columns, t);
-    payload_words += checked_mul(band.organization.h, words.total());
-  }
-  PayloadSource payload{options, payload_words};
-  for (const PrrBand& band : shape.bands) {
-    const RowWords words = row_words(band.organization.columns, t);
-    for (u32 row = 0; row < band.organization.h; ++row) {
-      emit_row(out, crc, payload, words, band.first_row + row,
-               band.window.first_col);
-    }
-  }
-
-  end_stream(out, family, crc);
-  if (out.size() != total_words) {
-    throw ContractError{"generate_shaped_bitstream: size model mismatch"};
-  }
-  count_generated(out);
-  return out;
-}
-
-std::vector<u32> generate_full_bitstream(const Fabric& fabric,
-                                         const GeneratorOptions& options) {
-  PRCOST_TRACE_SPAN("bitstream_gen_full");
-  const Family family = fabric.family();
-  const FamilyTraits& t = traits(family);
-  const u32 idcode = resolve_idcode(options, family);
-
-  // Every column of a row participates (IOB and CLK included), then one
-  // flush frame - the same accounting as full_bitstream_bytes().
-  const u64 cfg_frames =
-      fabric.window_config_frames(ColumnWindow{0, fabric.num_columns()}) + 1;
-  const u64 bram_cols = fabric.column_count(ColumnType::kBram);
-  const u64 bram_frames =
-      bram_cols > 0 ? checked_mul(bram_cols, t.df_bram) + 1 : 0;
-  const RowWords words{checked_mul(cfg_frames, t.frame_size),
-                       checked_mul(bram_frames, t.frame_size)};
-  const u64 row_total =
-      t.far_fdri + words.cfg + (bram_cols > 0 ? t.far_fdri + words.bram : 0);
-  const u64 total_words =
-      t.iw + checked_mul(fabric.rows(), row_total) + t.fw;
-  std::vector<u32> out;
-  out.reserve(static_cast<std::size_t>(total_words));
-
-  ConfigCrc crc = begin_stream(out, family, idcode);
-  PayloadSource payload{options, checked_mul(fabric.rows(), words.total())};
-  for (u32 row = 0; row < fabric.rows(); ++row) {
-    emit_row(out, crc, payload, words, row, 0);
-  }
-
-  end_stream(out, family, crc);
-  if (out.size() != total_words) {
-    throw ContractError{"generate_full_bitstream: size model mismatch"};
-  }
-  count_generated(out);
   return out;
 }
 

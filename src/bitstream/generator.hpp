@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitstream/frame_address.hpp"
 #include "bitstream/words.hpp"
 #include "cost/prr_search.hpp"
-#include "cost/shaped_prr.hpp"
 #include "device/family_traits.hpp"
 
 namespace prcost {
@@ -67,6 +67,27 @@ std::vector<u32> trailer_words(Family family, u32 crc);
 /// Append the trailer words to `out`.
 void append_trailer_words(std::vector<u32>& out, Family family, u32 crc);
 
+/// `rows` consecutive fabric rows from `first_row`, each configured at
+/// column `first_col` by a burst of `config_frames` frames and, when
+/// `bram_frames` is non-zero, a BRAM-content burst of that many frames.
+/// Both counts include the burst's flush frame.
+struct StreamBand {
+  u32 first_row = 0;
+  u32 rows = 0;
+  u32 first_col = 0;
+  u64 config_frames = 0;
+  u64 bram_frames = 0;
+};
+
+/// Write one stream of Fig. 2's shape into `out` (cleared first): the
+/// header, the FAR/FDRI bursts of every band's rows in order, then the
+/// trailer with the accumulated CRC. A rectangular PRR is one band
+/// (generate_bitstream_into); a stacked multi-band PRR or the whole
+/// fabric is a longer band list.
+void generate_stream_into(std::vector<u32>& out,
+                          std::span<const StreamBand> bands, Family family,
+                          const GeneratorOptions& options = {});
+
 /// Generate the full partial bitstream for `plan` as 32-bit configuration
 /// words (for 16-bit families each entry still holds one configuration
 /// word; byte serialization honours traits.bytes_word).
@@ -86,21 +107,6 @@ void generate_bitstream_into(std::vector<u32>& out, const PrrPlan& plan,
 /// The result size is the quantity Table VII reports.
 std::vector<std::uint8_t> to_bytes(const std::vector<u32>& words,
                                    Family family);
-
-/// Generate the partial bitstream of a non-rectangular (multi-band) PRR:
-/// one FAR/FDRI burst group per band row, single sync header and trailer.
-/// Byte size equals estimate_shaped_bitstream() exactly (tested).
-std::vector<u32> generate_shaped_bitstream(const ShapedPrr& shape,
-                                           Family family,
-                                           const GeneratorOptions& options = {});
-
-/// Generate a FULL configuration bitstream for the whole fabric (every
-/// column of every row, including IOB and clock columns, plus all BRAM
-/// initialization) - the non-PR baseline artifact. Its byte size equals
-/// full_bitstream_bytes(fabric) exactly (tested), closing the same
-/// model-vs-artifact loop Eq. (18) has for partial bitstreams.
-std::vector<u32> generate_full_bitstream(const Fabric& fabric,
-                                         const GeneratorOptions& options = {});
 
 /// Default IDCODE per family (synthetic but stable).
 u32 default_idcode(Family family);

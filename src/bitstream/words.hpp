@@ -3,8 +3,6 @@
 // headers, configuration registers and commands.
 #pragma once
 
-#include <string_view>
-
 #include "util/ints.hpp"
 
 namespace prcost {
@@ -79,9 +77,5 @@ constexpr ConfigReg packet_reg(u32 word) {
 }
 constexpr u32 type1_count(u32 word) { return word & 0x7FFu; }
 constexpr u32 type2_count(u32 word) { return word & 0x7FFFFFFu; }
-
-/// Register / command names for the disassembler.
-std::string_view config_reg_name(ConfigReg reg);
-std::string_view config_cmd_name(ConfigCmd cmd);
 
 }  // namespace prcost

@@ -38,8 +38,4 @@ BitstreamEstimate estimate_bitstream(const PrrOrganization& org,
   return e;
 }
 
-u64 bitstream_bytes(const PrrOrganization& org, const FamilyTraits& t) {
-  return estimate_bitstream(org, t).total_bytes;
-}
-
 }  // namespace prcost

@@ -42,7 +42,4 @@ struct BitstreamEstimate {
 BitstreamEstimate estimate_bitstream(const PrrOrganization& org,
                                      const FamilyTraits& t);
 
-/// Shorthand: predicted size in bytes.
-u64 bitstream_bytes(const PrrOrganization& org, const FamilyTraits& t);
-
 }  // namespace prcost

@@ -69,11 +69,4 @@ std::optional<PrrOrganization> organization_for_height(
   return org;
 }
 
-bool satisfies(const PrrOrganization& org, const PrmRequirements& req,
-               const FamilyTraits& t) {
-  const PrrAvailability a = availability(org, t);
-  return a.clbs >= clb_req(req, t) && a.ffs >= req.ffs && a.dsps >= req.dsps &&
-         a.brams >= req.brams;
-}
-
 }  // namespace prcost

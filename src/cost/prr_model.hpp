@@ -93,8 +93,4 @@ std::optional<PrrOrganization> organization_for_height(
     const PrmRequirements& req, const FamilyTraits& t, u32 h,
     bool single_dsp_column);
 
-/// Convenience: does `org` provide at least `req` of every resource?
-bool satisfies(const PrrOrganization& org, const PrmRequirements& req,
-               const FamilyTraits& t);
-
 }  // namespace prcost

@@ -164,15 +164,6 @@ std::vector<PrrPlan> widen_candidates(const std::vector<PrrPlan>& candidates,
   return std::vector<PrrPlan>(widened.begin(), widened.end());
 }
 
-std::optional<PrrPlan> find_shared_prr(std::span<const PrmRequirements> reqs,
-                                       const Fabric& fabric,
-                                       const SearchOptions& options) {
-  if (reqs.empty()) return std::nullopt;
-  PrmRequirements merged;
-  for (const PrmRequirements& r : reqs) merged.merge(r);
-  return find_prr(merged, fabric, options);
-}
-
 std::vector<PrrPlan> enumerate_prrs(const PrmRequirements& req,
                                     const Fabric& fabric, u32 max_height) {
   PRCOST_TRACE_SPAN("prr_enumerate");

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "cost/bitstream_model.hpp"
@@ -85,16 +84,6 @@ std::vector<PrrPlan> placement_candidates_uncached(const PrmRequirements& req,
 std::vector<PrrPlan> widen_candidates(const std::vector<PrrPlan>& candidates,
                                       const PrmRequirements& req,
                                       const Fabric& fabric);
-
-/// Search a PRR shared by several time-multiplexed PRMs. Per the paper:
-/// "the largest W_CLB, W_DSP, and W_BRAM across all of the PRR's
-/// associated PRMs dictates the number of CLB, DSP, and BRAM columns in
-/// the PRR." Utilization in the returned plan is computed against the
-/// element-wise maximum requirement. Returns nullopt if any PRM cannot fit
-/// at any height.
-std::optional<PrrPlan> find_shared_prr(std::span<const PrmRequirements> reqs,
-                                       const Fabric& fabric,
-                                       const SearchOptions& options = {});
 
 /// All feasible (H, organization) candidates for a PRM on a fabric, in
 /// ascending H order - the raw material for fragmentation sweeps and DSE.

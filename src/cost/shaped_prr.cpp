@@ -14,12 +14,6 @@ u64 ShapedPrr::size() const {
   return total;
 }
 
-u32 ShapedPrr::height() const {
-  u32 total = 0;
-  for (const PrrBand& band : bands) total += band.organization.h;
-  return total;
-}
-
 PrrAvailability shaped_availability(const ShapedPrr& prr,
                                     const FamilyTraits& t) {
   PrrAvailability total;

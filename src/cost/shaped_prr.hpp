@@ -40,8 +40,6 @@ struct ShapedPrr {
 
   /// Total fabric cells (the shaped analogue of Eq. 7).
   u64 size() const;
-  /// Total height in rows.
-  u32 height() const;
 };
 
 /// Band-wise availability (Eqs. 8-12 summed over bands).

@@ -13,29 +13,14 @@ namespace prcost {
 /// candidate column window (Section III.A).
 enum class ColumnType { kClb, kDsp, kBram, kIob, kClk };
 
-inline constexpr ColumnType kAllColumnTypes[] = {
-    ColumnType::kClb, ColumnType::kDsp, ColumnType::kBram, ColumnType::kIob,
-    ColumnType::kClk};
-
 /// True for column types permitted inside a PRR.
 constexpr bool prr_capable(ColumnType type) {
   return type == ColumnType::kClb || type == ColumnType::kDsp ||
          type == ColumnType::kBram;
 }
 
-/// One-letter code used in fabric pattern strings ('C','D','B','I','K').
-constexpr char column_code(ColumnType type) {
-  switch (type) {
-    case ColumnType::kClb: return 'C';
-    case ColumnType::kDsp: return 'D';
-    case ColumnType::kBram: return 'B';
-    case ColumnType::kIob: return 'I';
-    case ColumnType::kClk: return 'K';
-  }
-  return '?';
-}
-
-/// Inverse of column_code; throws ContractError on unknown code.
+/// Column type of a one-letter fabric pattern code ('C','D','B','I','K');
+/// throws ContractError on an unknown code.
 constexpr ColumnType parse_column_code(char code) {
   switch (code) {
     case 'C': return ColumnType::kClb;

@@ -195,19 +195,4 @@ const Device& DeviceDb::get(std::string_view name) const {
   return *it;
 }
 
-bool DeviceDb::contains(std::string_view name) const {
-  const std::string lower = to_lower(name);
-  const std::string canonical = canonical_device_name(name);
-  return std::any_of(devices_.begin(), devices_.end(), [&](const Device& d) {
-    return d.name == lower || d.name == canonical;
-  });
-}
-
-std::vector<std::string> DeviceDb::names() const {
-  std::vector<std::string> out;
-  out.reserve(devices_.size());
-  for (const auto& d : devices_) out.push_back(d.name);
-  return out;
-}
-
 }  // namespace prcost

@@ -34,14 +34,8 @@ class DeviceDb {
   /// part is unknown.
   const Device& get(std::string_view name) const;
 
-  /// True if `name` is in the catalog.
-  bool contains(std::string_view name) const;
-
   /// All devices, in catalog order.
   const std::vector<Device>& all() const { return devices_; }
-
-  /// Names of all devices, in catalog order.
-  std::vector<std::string> names() const;
 
  private:
   DeviceDb();

@@ -80,29 +80,13 @@ Fabric::Fabric(Family family, std::string_view column_pattern, u32 rows)
       case ColumnType::kIob:
       case ColumnType::kClk: ++next.blocked; break;
     }
-    next.frames = checked_add(next.frames, config_frames(type, *traits_));
     prefix_[i + 1] = next;
   }
-}
-
-std::string Fabric::pattern() const {
-  std::string out;
-  out.reserve(columns_.size());
-  for (const auto type : columns_) out += column_code(type);
-  return out;
 }
 
 u64 Fabric::total_resources(ColumnType type) const {
   return checked_mul(checked_mul(column_count(type), rows_),
                      resources_per_row(type, *traits_));
-}
-
-u64 Fabric::total_luts() const {
-  return checked_mul(total_resources(ColumnType::kClb), traits_->lut_clb);
-}
-
-u64 Fabric::total_ffs() const {
-  return checked_mul(total_resources(ColumnType::kClb), traits_->ff_clb);
 }
 
 std::vector<ColumnWindow> Fabric::scan_windows_exact(
@@ -201,14 +185,6 @@ ColumnDemand Fabric::window_composition(const ColumnWindow& window) const {
   const ColumnPrefix& lo = prefix_[window.first_col];
   const ColumnPrefix& hi = prefix_[window.first_col + window.width];
   return ColumnDemand{hi.clb - lo.clb, hi.dsp - lo.dsp, hi.bram - lo.bram};
-}
-
-u64 Fabric::window_config_frames(const ColumnWindow& window) const {
-  if (window.first_col + window.width > num_columns()) {
-    throw ContractError{"window_config_frames: window out of range"};
-  }
-  return prefix_[window.first_col + window.width].frames -
-         prefix_[window.first_col].frames;
 }
 
 u64 intern_fabric_identity(Family family, std::string_view pattern,

@@ -68,9 +68,6 @@ class Fabric {
   ColumnType column(u32 index) const { return columns_.at(index); }
   const std::vector<ColumnType>& columns() const { return columns_; }
 
-  /// Column pattern as a code string (round-trips the constructor input).
-  std::string pattern() const;
-
   /// Number of columns of `type` on the whole device (precomputed).
   u32 column_count(ColumnType type) const {
     return type_counts_[static_cast<std::size_t>(type)];
@@ -79,10 +76,6 @@ class Fabric {
   /// Total primitives of a resource column type on the device
   /// (columns x rows x per-row density).
   u64 total_resources(ColumnType type) const;
-
-  /// Total LUTs / FFs on the device (via CLB count and family traits).
-  u64 total_luts() const;
-  u64 total_ffs() const;
 
   /// Find the left-most W-wide contiguous window whose column-type
   /// composition EXACTLY matches `demand` (the paper's Fig. 1: "distribute
@@ -111,11 +104,6 @@ class Fabric {
   /// the per-position prefix sums.
   ColumnDemand window_composition(const ColumnWindow& window) const;
 
-  /// Configuration frames covered by one row of the given window
-  /// (sum of config_frames over its columns) - the quantity behind
-  /// Eqs. (19)-(22). O(1) via the per-position prefix sums.
-  u64 window_config_frames(const ColumnWindow& window) const;
-
  private:
   /// Running totals over columns_[0, i); prefix_[i] holds the counts for
   /// the first i columns, so any window aggregate is one subtraction.
@@ -124,7 +112,6 @@ class Fabric {
     u32 dsp = 0;
     u32 bram = 0;
     u32 blocked = 0;  ///< IOB/CLK columns
-    u64 frames = 0;   ///< config frames per row
   };
 
   struct WindowIndex;  // thread-safe memo, shared between copies

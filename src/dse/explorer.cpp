@@ -22,7 +22,7 @@ DesignPoint evaluate_partition(const Partition& partition,
   // Size and floorplan one shared PRR per group.
   Floorplanner floorplanner{fabric};
   for (const auto& group : partition) {
-    // Shared PRR demand: element-wise max (find_shared_prr semantics), but
+    // Shared PRR demand: element-wise max (the paper's shared-PRR rule),
     // placed through the occupancy-aware floorplanner.
     PrmRequirements merged;
     for (const u32 prm : group) merged.merge(prms[prm].req);

@@ -1,6 +1,6 @@
 #include "dse/partition.hpp"
 
-#include <array>
+#include <algorithm>
 
 #include "util/error.hpp"
 
@@ -37,22 +37,6 @@ std::vector<Partition> enumerate_partitions(u32 n, u32 max_groups) {
     }
     if (!advanced) return out;
   }
-}
-
-u64 bell_number(u32 n) {
-  if (n > 24) throw ContractError{"bell_number: n too large for u64"};
-  // Bell triangle.
-  std::vector<u64> row{1};
-  for (u32 i = 1; i <= n; ++i) {
-    std::vector<u64> next;
-    next.reserve(i + 1);
-    next.push_back(row.back());
-    for (const u64 v : row) {
-      next.push_back(checked_add(next.back(), v));
-    }
-    row = std::move(next);
-  }
-  return row.front();
 }
 
 }  // namespace prcost

@@ -20,7 +20,4 @@ using Partition = std::vector<std::vector<u32>>;
 /// (0 = no limit). n must be <= 12 (Bell(12) ~ 4.2M).
 std::vector<Partition> enumerate_partitions(u32 n, u32 max_groups = 0);
 
-/// Number of partitions of an n-element set (Bell number).
-u64 bell_number(u32 n);
-
 }  // namespace prcost

@@ -42,8 +42,8 @@ using SimResult = Report;
 /// Simulate `tasks` over `prms` with `config`. Tasks may arrive in any
 /// order; the simulator sorts by (arrival, input order) and reports
 /// outcomes in that order, with wait = start - arrival. All PRRs are
-/// assumed large enough for every PRM (size the pool with find_shared_prr
-/// first).
+/// assumed large enough for every PRM (size the pool for the
+/// PrmRequirements::merge of all PRMs first).
 SimResult simulate(const std::vector<PrmInfo>& prms,
                    std::vector<HwTask> tasks, const SimConfig& config);
 

@@ -1,9 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -54,14 +52,6 @@ void set_metrics_enabled(bool on) noexcept {
   g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
 
-void Gauge::add(double delta) noexcept {
-  if (!metrics_enabled()) return;
-  double cur = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
@@ -86,36 +76,6 @@ std::vector<u64> Histogram::bucket_counts() const {
   out.reserve(buckets_.size());
   for (const auto& b : buckets_) out.push_back(b.load(std::memory_order_relaxed));
   return out;
-}
-
-double Histogram::quantile(double q) const {
-  return histogram_quantile(bounds_, bucket_counts(), q);
-}
-
-double histogram_quantile(const std::vector<double>& bounds,
-                          const std::vector<u64>& buckets, double q) {
-  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-  if (buckets.size() != bounds.size() + 1) return kNan;
-  u64 total = 0;
-  for (const u64 b : buckets) total += b;
-  if (total == 0) return kNan;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total);
-  u64 cum = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const u64 before = cum;
-    cum += buckets[i];
-    if (buckets[i] == 0 || static_cast<double>(cum) < rank) continue;
-    if (i >= bounds.size()) {
-      // Overflow bucket: no finite upper edge to interpolate toward.
-      return bounds.empty() ? kNan : bounds.back();
-    }
-    const double upper = bounds[i];
-    const double lower = i == 0 ? std::min(0.0, upper) : bounds[i - 1];
-    return lower + (upper - lower) * (rank - static_cast<double>(before)) /
-                       static_cast<double>(buckets[i]);
-  }
-  return bounds.empty() ? kNan : bounds.back();
 }
 
 void Histogram::reset() noexcept {
@@ -339,52 +299,6 @@ std::string openmetrics_name(std::string_view name) {
     const bool legal = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                        (c >= '0' && c <= '9') || c == '_' || c == ':';
     out += legal ? c : '_';
-  }
-  return out;
-}
-
-Snapshot Snapshot::capture() { return Snapshot{registry().snapshot()}; }
-
-const MetricSnapshot* Snapshot::find(std::string_view name) const noexcept {
-  const auto it = std::lower_bound(
-      metrics.begin(), metrics.end(), name,
-      [](const MetricSnapshot& s, std::string_view n) { return s.name < n; });
-  if (it == metrics.end() || it->name != name) return nullptr;
-  return &*it;
-}
-
-u64 Snapshot::counter(std::string_view name) const noexcept {
-  const MetricSnapshot* s = find(name);
-  return s != nullptr && s->kind == MetricKind::kCounter ? s->count : 0;
-}
-
-Snapshot snapshot_diff(const Snapshot& before, const Snapshot& after) {
-  const auto sub = [](u64 a, u64 b) { return a > b ? a - b : 0; };
-  Snapshot out;
-  out.metrics.reserve(after.metrics.size());
-  for (const MetricSnapshot& now : after.metrics) {
-    MetricSnapshot d = now;
-    const MetricSnapshot* was = before.find(now.name);
-    if (was != nullptr && was->kind == now.kind) {
-      switch (now.kind) {
-        case MetricKind::kCounter:
-          d.count = sub(now.count, was->count);
-          break;
-        case MetricKind::kGauge:
-          break;  // gauges are point-in-time: keep the newer value
-        case MetricKind::kHistogram:
-          if (was->bounds == now.bounds &&
-              was->buckets.size() == now.buckets.size()) {
-            d.count = sub(now.count, was->count);
-            d.value = now.value - was->value;
-            for (std::size_t b = 0; b < d.buckets.size(); ++b) {
-              d.buckets[b] = sub(now.buckets[b], was->buckets[b]);
-            }
-          }
-          break;
-      }
-    }
-    out.metrics.push_back(std::move(d));
   }
   return out;
 }

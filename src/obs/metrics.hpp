@@ -57,7 +57,6 @@ class Gauge {
   void set_unchecked(double v) noexcept {
     value_.store(v, std::memory_order_relaxed);
   }
-  void add(double delta) noexcept;
   double value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -85,8 +84,6 @@ class Histogram {
   std::vector<u64> bucket_counts() const;
   u64 count() const noexcept { return count_.load(std::memory_order_relaxed); }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
-  /// Interpolated quantile estimate (see histogram_quantile below).
-  double quantile(double q) const;
   void reset() noexcept;
 
  private:
@@ -95,15 +92,6 @@ class Histogram {
   std::atomic<u64> count_{0};
   std::atomic<double> sum_{0.0};
 };
-
-/// Prometheus-style interpolated quantile from "le" buckets: find the
-/// bucket holding rank q*count, interpolate linearly inside it (the first
-/// bucket's lower edge is min(0, bound)). Returns NaN for an empty
-/// histogram; samples landing in the +Inf overflow bucket clamp the
-/// estimate to the last finite bound. `buckets` must be per-bucket counts
-/// (bounds.size() + 1 entries, NOT cumulative).
-double histogram_quantile(const std::vector<double>& bounds,
-                          const std::vector<u64>& buckets, double q);
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
@@ -165,24 +153,6 @@ std::string openmetrics_escape_label(std::string_view value);
 /// [a-zA-Z0-9_:] pass through, everything else becomes '_', and the
 /// result is prefixed with "prcost_".
 std::string openmetrics_name(std::string_view name);
-
-/// Point-in-time capture of the whole registry, diffable against a later
-/// capture for interval deltas (the future serve loop scrapes these; tests
-/// use them to assert per-request attribution against global counters).
-struct Snapshot {
-  std::vector<MetricSnapshot> metrics;  ///< sorted by name
-
-  static Snapshot capture();
-  const MetricSnapshot* find(std::string_view name) const noexcept;
-  /// Counter value by name; 0 when absent or not a counter.
-  u64 counter(std::string_view name) const noexcept;
-};
-
-/// after - before: counter values and histogram counts/sums/buckets
-/// subtract (clamped at zero in case of an interleaved reset); gauges keep
-/// the `after` value. Metrics absent from `after` are dropped; metrics new
-/// in `after` are kept whole.
-Snapshot snapshot_diff(const Snapshot& before, const Snapshot& after);
 
 }  // namespace prcost::obs
 

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -218,12 +217,6 @@ void write_chrome_trace(std::ostream& out) {
   out << "]}";
 }
 
-std::string chrome_trace_json() {
-  std::ostringstream os;
-  write_chrome_trace(os);
-  return os.str();
-}
-
 void write_folded_stacks(std::ostream& out) {
   // Stacks are reconstructed per thread: records sorted by start time are a
   // pre-order walk of the span tree, so a record at depth d has the current
@@ -263,12 +256,6 @@ void write_folded_stacks(std::ostream& out) {
   for (const auto& [stack, self_ns] : self_by_stack) {
     out << stack << ' ' << self_ns << '\n';
   }
-}
-
-std::string folded_stacks() {
-  std::ostringstream os;
-  write_folded_stacks(os);
-  return os.str();
 }
 
 u64 trace_span_count() {

@@ -106,7 +106,6 @@ TextTable trace_summary_table();
 /// Chrome trace-event JSON ({"traceEvents":[...]}, complete "X" events,
 /// microsecond timestamps). Safe to call while tracing is enabled, but the
 /// intended use is export after the traced workload finished.
-std::string chrome_trace_json();
 void write_chrome_trace(std::ostream& out);
 
 /// Flamegraph-compatible folded stacks: one "root;child;leaf <self_ns>"
@@ -114,7 +113,6 @@ void write_chrome_trace(std::ostream& out);
 /// all threads, lines sorted lexicographically. Feed to flamegraph.pl,
 /// inferno, or speedscope. Ancestor frames evicted by ring wrap-around
 /// render as "?".
-std::string folded_stacks();
 void write_folded_stacks(std::ostream& out);
 
 /// Total spans recorded / overwritten by ring wrap-around since clear.

@@ -56,16 +56,6 @@ bool place_with_candidate(Floorplanner& fp, const Fabric& fabric,
 
 }  // namespace
 
-std::string_view move_kind_name(MoveKind kind) {
-  switch (kind) {
-    case MoveKind::kSwap: return "swap";
-    case MoveKind::kRelocate: return "relocate";
-    case MoveKind::kResize: return "resize";
-    case MoveKind::kCompact: return "compact";
-  }
-  return "?";
-}
-
 std::size_t placement_index_of(const Floorplanner& fp,
                                const std::string& name) {
   const std::vector<PlacedPrr>& placements = fp.placements();

@@ -32,8 +32,6 @@ namespace prcost::opt {
 enum class MoveKind { kSwap = 0, kRelocate = 1, kResize = 2, kCompact = 3 };
 inline constexpr std::size_t kMoveKinds = 4;
 
-std::string_view move_kind_name(MoveKind kind);
-
 /// One group the optimizer plans a PRR for: the shared-PRR requirement
 /// (element-wise max over the group's PRMs, per the paper's shared-PRR
 /// rule) plus the placement name used in the floorplanner.

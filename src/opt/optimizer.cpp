@@ -13,6 +13,15 @@
 namespace prcost::opt {
 namespace {
 
+/// Scalarization weights: cost = kRejectWeight * rejected_prms
+/// + kTimeWeight * makespan_s + kMoveWeight * relocation_s. A rejected PRM
+/// outweighs any makespan or relocation saving.
+constexpr double kRejectWeight = 1000.0;
+constexpr double kTimeWeight = 1.0;
+constexpr double kMoveWeight = 0.1;
+/// Temperature decay per annealing round.
+constexpr double kCooling = 0.92;
+
 /// Rescue pass: try to place every unplaced group, in index order. Both
 /// the greedy baseline and every annealing move end with this, so a move
 /// that frees the right rectangle immediately converts a rejection into a
@@ -180,9 +189,9 @@ CostBreakdown evaluate(const OptInstance& instance, const PlanState& state,
     cost.busy_max_s = std::max(cost.busy_max_s, busy[g]);
   }
   cost.makespan_s = std::max(cost.busy_max_s, cost.icap_s);
-  cost.cost = options.reject_weight * static_cast<double>(cost.rejected_prms) +
-              options.time_weight * cost.makespan_s +
-              options.move_weight * cost.relocation_s;
+  cost.cost = kRejectWeight * static_cast<double>(cost.rejected_prms) +
+              kTimeWeight * cost.makespan_s +
+              kMoveWeight * cost.relocation_s;
   return cost;
 }
 
@@ -213,9 +222,8 @@ OptimizeResult JointOptimizer::run() {
   PRCOST_GAUGE_SET("opt.cost.greedy", result.greedy.cost);
 
   CostBreakdown current = result.greedy;
-  double temperature = options_.initial_temperature > 0
-                           ? options_.initial_temperature
-                           : std::max(0.05 * result.greedy.cost, 1e-9);
+  // The start temperature is 5% of the greedy cost.
+  double temperature = std::max(0.05 * result.greedy.cost, 1e-9);
   Rng rng{options_.seed};
 
   struct Proposal {
@@ -290,7 +298,7 @@ OptimizeResult JointOptimizer::run() {
         break;
       }
     }
-    temperature *= options_.cooling;
+    temperature *= kCooling;
   }
   result.final_temperature = temperature;
 

@@ -54,16 +54,9 @@ struct OptimizeOptions {
   u64 seed = 1;
   u32 rounds = 48;                 ///< annealing rounds
   u32 proposals_per_round = 8;     ///< fixed: determinism vs worker count
-  double initial_temperature = 0;  ///< 0 = auto (5% of the greedy cost)
-  double cooling = 0.92;           ///< temperature decay per round
   double fault_rate = 0.0;         ///< per-transfer corruption probability
   u32 max_retries = 3;
   StorageMedia media = StorageMedia::kDdrSdram;
-  /// Scalarization weights: cost = reject_weight * rejected_prms
-  /// + time_weight * makespan_s + move_weight * relocation_s.
-  double reject_weight = 1000.0;
-  double time_weight = 1.0;
-  double move_weight = 0.1;
   std::size_t workers = 0;         ///< parallel evaluation width (0 = auto)
 };
 

@@ -126,6 +126,9 @@ Site site_at(const ClassColumns& cols, u64 flat) {
 inline constexpr u32 kUnplaced = ~0u;
 /// Occupancy entry of an empty site.
 inline constexpr u32 kEmpty = ~0u;
+/// Annealer start temperature; the schedule cools geometrically from it to
+/// 0.005 over the move budget.
+inline constexpr double kInitialTemp = 4.0;
 
 /// HPWL of `net` over its placed pins; `site_of` is indexed by cell.
 u64 hpwl_of_net(const Net& net, const std::vector<Site>& site_of) {
@@ -276,9 +279,9 @@ PlaceResult place_into_prr(const Netlist& nl, const PrrPlan& plan,
     const u64 moves = options.anneal_moves != 0
                           ? options.anneal_moves
                           : placeable.size() * 32;
-    double temp = options.initial_temp;
+    double temp = kInitialTemp;
     const double cooling = moves > 1
-        ? std::pow(0.005 / options.initial_temp, 1.0 / static_cast<double>(moves))
+        ? std::pow(0.005 / kInitialTemp, 1.0 / static_cast<double>(moves))
         : 1.0;
 
     // Occupancy per class: flattened site -> cell index, kEmpty if free.

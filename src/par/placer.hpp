@@ -26,7 +26,6 @@ namespace prcost {
 struct PlaceOptions {
   u64 seed = 1;           ///< annealer RNG seed
   u32 anneal_moves = 0;   ///< 0 = auto (#cells * 32)
-  double initial_temp = 4.0;
   bool skip_anneal = false;  ///< greedy-only (fast, for big sweeps)
 };
 

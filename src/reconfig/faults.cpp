@@ -1,36 +1,11 @@
 #include "reconfig/faults.hpp"
 
-#include <algorithm>
-#include <cstddef>
 #include <iterator>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
-
-std::string_view fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone: return "none";
-    case FaultKind::kBitFlip: return "bit-flip";
-    case FaultKind::kWordDrop: return "word-drop";
-    case FaultKind::kWordDup: return "word-dup";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kSplice: return "splice";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Corruption kinds next_attempt()/corrupt() choose among, in draw order.
-/// The order is part of the determinism contract: reordering changes every
-/// seeded fault sequence.
-constexpr FaultKind kCorruptionKinds[] = {
-    FaultKind::kBitFlip, FaultKind::kWordDrop, FaultKind::kWordDup,
-    FaultKind::kTruncate, FaultKind::kSplice};
-
-}  // namespace
 
 FaultInjector::FaultInjector(const FaultProfile& profile)
     : profile_(profile), rng_(profile.seed) {
@@ -62,50 +37,6 @@ FaultInjector::Attempt FaultInjector::next_attempt() {
     PRCOST_COUNT("reconfig.faults.stalls");
   }
   return attempt;
-}
-
-FaultKind FaultInjector::corrupt(std::vector<u32>& words) {
-  if (words.empty()) return FaultKind::kNone;
-  const FaultKind kind =
-      kCorruptionKinds[rng_.below(std::size(kCorruptionKinds))];
-  apply(words, kind, rng_);
-  return kind;
-}
-
-void FaultInjector::apply(std::vector<u32>& words, FaultKind kind, Rng& rng) {
-  if (words.empty()) return;
-  switch (kind) {
-    case FaultKind::kNone:
-      break;
-    case FaultKind::kBitFlip: {
-      const std::size_t pos = rng.below(words.size());
-      words[pos] ^= 1u << rng.below(32);
-      break;
-    }
-    case FaultKind::kWordDrop:
-      words.erase(words.begin() +
-                  static_cast<std::ptrdiff_t>(rng.below(words.size())));
-      break;
-    case FaultKind::kWordDup: {
-      const std::size_t pos = rng.below(words.size());
-      words.insert(words.begin() + static_cast<std::ptrdiff_t>(pos),
-                   words[pos]);
-      break;
-    }
-    case FaultKind::kTruncate:
-      words.resize(rng.below(words.size()));
-      break;
-    case FaultKind::kSplice: {
-      // Overwrite a short run with garbage words (length 1..8, clipped).
-      const std::size_t start = rng.below(words.size());
-      const std::size_t len =
-          std::min<std::size_t>(1 + rng.below(8), words.size() - start);
-      for (std::size_t i = 0; i < len; ++i) {
-        words[start + i] = static_cast<u32>(rng());
-      }
-      break;
-    }
-  }
 }
 
 }  // namespace prcost

@@ -8,18 +8,12 @@
 // bitstream is corrupted (and how) and whether the media stalled, so every
 // fault run is bit-reproducible from (--fault-seed, --fault-rate) alone.
 //
-// Two consumers:
-//   - verified_transfer() (controllers.hpp): the CRC-verified transfer
-//     loop asks next_attempt() for each attempt's fate and pays the
-//     retry/backoff schedule in RetryPolicy.
-//   - the corruption property test: corrupt()/apply() mutate concrete
-//     bitstream word buffers (bit flips, dropped/duplicated words,
-//     truncation, spliced garbage) to fuzz parse_bitstream.
+// verified_transfer() (controllers.hpp), the CRC-verified transfer loop,
+// asks next_attempt() for each attempt's fate and pays the retry/backoff
+// schedule in RetryPolicy.
 #pragma once
 
 #include <limits>
-#include <string_view>
-#include <vector>
 
 #include "util/ints.hpp"
 #include "util/rng.hpp"
@@ -36,7 +30,12 @@ enum class FaultKind {
   kSplice,    ///< a run of garbage words spliced in
 };
 
-std::string_view fault_kind_name(FaultKind kind);
+/// Corruption kinds an attempt draws among, in draw order. The order is
+/// part of the determinism contract: reordering changes every seeded
+/// fault sequence.
+inline constexpr FaultKind kCorruptionKinds[] = {
+    FaultKind::kBitFlip, FaultKind::kWordDrop, FaultKind::kWordDup,
+    FaultKind::kTruncate, FaultKind::kSplice};
 
 /// Fault environment description. All-zero rates (the default) mean the
 /// injector never fires and fault-aware paths behave identically to the
@@ -78,13 +77,6 @@ class FaultInjector {
 
   /// Draw the next attempt's fate.
   Attempt next_attempt();
-
-  /// Corrupt a concrete word buffer with a randomly chosen kind; returns
-  /// the kind applied (kNone only for an empty buffer).
-  FaultKind corrupt(std::vector<u32>& words);
-
-  /// Apply one specific corruption to `words` using `rng` for positions.
-  static void apply(std::vector<u32>& words, FaultKind kind, Rng& rng);
 
   const FaultProfile& profile() const { return profile_; }
   u64 attempts() const { return attempts_; }    ///< next_attempt() calls

@@ -10,6 +10,11 @@
 namespace prcost::sched {
 namespace {
 
+/// make_bursty's shape: tasks per burst, and the gap between bursts as a
+/// multiple of an exponential inter-arrival draw.
+constexpr u32 kBurstSize = 8;
+constexpr double kBurstGapFactor = 16.0;
+
 Task synth_task(u32 index, double arrival, Rng& rng,
                 const ArrivalParams& params) {
   Task task;
@@ -47,20 +52,16 @@ std::vector<Task> make_poisson(const ArrivalParams& params) {
 
 std::vector<Task> make_bursty(const ArrivalParams& params) {
   check_params(params, "make_bursty");
-  if (params.burst_size == 0) {
-    throw ContractError{"make_bursty: zero burst size"};
-  }
   Rng rng{params.seed};
   std::vector<Task> tasks;
   tasks.reserve(params.count);
   double clock = 0.0;
   for (u32 i = 0; i < params.count; ++i) {
-    if (i != 0 && i % params.burst_size == 0) {
+    if (i != 0 && i % kBurstSize == 0) {
       // Inter-burst idle gap; within a burst arrivals are jittered by a
       // small fraction of the mean inter-arrival so they stay "almost
       // simultaneous" without being byte-equal.
-      clock += params.burst_gap_factor *
-               rng.exponential(params.mean_interarrival_s);
+      clock += kBurstGapFactor * rng.exponential(params.mean_interarrival_s);
     } else {
       clock += 0.05 * rng.exponential(params.mean_interarrival_s);
     }

@@ -23,18 +23,14 @@ struct ArrivalParams {
   /// (0 = no deadlines).
   double deadline_factor = 0.0;
   u64 seed = 42;
-  /// Bursty shape only: tasks per burst and the gap between bursts as a
-  /// multiple of mean_interarrival_s.
-  u32 burst_size = 8;
-  double burst_gap_factor = 16.0;
 };
 
 /// Poisson process: exponential inter-arrival and service times, uniform
 /// PRM mix - the open-arrival analogue of multitask::make_workload.
 std::vector<Task> make_poisson(const ArrivalParams& params);
 
-/// Bursty process: `burst_size` near-simultaneous arrivals, then a long
-/// gap. Stresses queue policies and the prefetch rate estimator far more
+/// Bursty process: bursts of 8 near-simultaneous arrivals separated by
+/// gaps of 16 times an exponential inter-arrival draw. Stresses queue policies and the prefetch rate estimator far more
 /// than the smooth Poisson mix.
 std::vector<Task> make_bursty(const ArrivalParams& params);
 

@@ -9,14 +9,10 @@ namespace prcost {
 SynthesisResult synthesize(Netlist design, const SynthOptions& options) {
   PRCOST_TRACE_SPAN("synthesis");
   PRCOST_COUNT("synth.runs");
-  u64 optimized = options.implementation_level
-                      ? run_implementation_passes(design)
-                      : run_synthesis_passes(design);
+  u64 optimized = run_synthesis_passes(design);
   const MapStats map_stats = map_netlist(design, options.family);
   // Mapping can expose more dead logic (e.g. fused multiplier operands).
-  optimized += options.implementation_level
-                   ? run_implementation_passes(design)
-                   : run_synthesis_passes(design);
+  optimized += run_synthesis_passes(design);
   const SynthesisReport report = report_for(design, options.family, [&] {
     // Re-derive pairing after the post-map cleanup.
     MapStats refreshed = map_stats;

@@ -13,10 +13,6 @@ namespace prcost {
 /// Synthesis options.
 struct SynthOptions {
   Family family = Family::kVirtex5;
-  /// Run the MAP/PAR-level aggressive passes too. XST itself does not;
-  /// src/par enables this to model post-implementation resource counts
-  /// (the paper's Table VI).
-  bool implementation_level = false;
 };
 
 /// Everything synthesize() produces.

@@ -76,11 +76,6 @@ void Arena::rewind(Marker marker) noexcept {
   offset_ = marker.offset;
 }
 
-void Arena::reset() noexcept {
-  current_ = nullptr;
-  offset_ = 0;
-}
-
 Arena& scratch_arena() {
   thread_local Arena arena;
   return arena;

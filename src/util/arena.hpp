@@ -8,7 +8,7 @@
 // tables in the Engine) instead borrow memory from a thread-local arena:
 //
 //   - Arena hands out pointers by bumping a cursor through a chain of
-//     chunks. Chunks are retained across rewind()/reset(), so after the
+//     chunks. Chunks are retained across rewind(), so after the
 //     first (cold) call a thread's arena never grows again and every
 //     subsequent "allocation" is a pointer bump.
 //   - ScratchScope marks the calling thread's arena on entry and rewinds
@@ -49,9 +49,6 @@ class Arena {
   Marker mark() const noexcept { return Marker{current_, offset_}; }
   void rewind(Marker marker) noexcept;
 
-  /// Rewind to empty (chunks retained).
-  void reset() noexcept;
-
   /// Total bytes of chunk capacity held (monotone until destruction).
   std::size_t capacity() const noexcept { return capacity_; }
 
@@ -89,7 +86,7 @@ class ScratchScope {
 };
 
 /// std allocator adapter over an Arena. deallocate is a no-op: lifetime
-/// is the enclosing ScratchScope (or an explicit reset).
+/// is the enclosing ScratchScope.
 template <typename T>
 class ArenaAllocator {
  public:

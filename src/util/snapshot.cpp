@@ -14,9 +14,7 @@ constexpr std::array<char, 4> kMagic{'P', 'R', 'C', 'S'};
 constexpr u32 kEndianMarker = 0x01020304u;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 8;
 
-/// Reflected CRC-32C byte table (poly 0x82F63B78), built once. Kept local
-/// so util does not depend on the bitstream library; snapshot_test pins
-/// it bit-identical to the dispatched crc32c_bytes.
+/// Reflected CRC-32C byte table (poly 0x82F63B78), built once.
 struct Crc32cTable {
   std::array<u32, 256> entry{};
   Crc32cTable() {

@@ -30,10 +30,8 @@
 
 namespace prcost {
 
-/// CRC-32C (Castagnoli) over a byte range - the checksum the container
-/// stores. Software table implementation so the base util layer stays
-/// free of the bitstream library; bit-identical to crc32c_bytes from
-/// bitstream/crc.hpp (locked together by snapshot_test).
+/// CRC-32C (Castagnoli; reflected, init and final xor 0xFFFFFFFF) over a
+/// byte range - the checksum the container stores.
 u32 snapshot_checksum(const void* data, std::size_t size) noexcept;
 
 /// Accumulates a payload, then writes the framed file atomically.

@@ -26,6 +26,4 @@ std::string format_minutes_seconds(double seconds) {
   return os.str();
 }
 
-std::string Stopwatch::pretty() const { return format_minutes_seconds(seconds()); }
-
 }  // namespace prcost

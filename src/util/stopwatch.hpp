@@ -25,10 +25,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time as "MmSS.SSSs" (e.g. "4m25.000s") to mirror the paper's
-  /// Table VIII minutes/seconds notation.
-  std::string pretty() const;
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -35,10 +35,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out{s};
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {

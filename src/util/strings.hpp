@@ -13,9 +13,6 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// Strip ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 
-/// True if `s` begins with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
 /// Lower-case ASCII copy.
 std::string to_lower(std::string_view s);
 

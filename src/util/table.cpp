@@ -69,29 +69,4 @@ std::string TextTable::to_ascii() const {
   return os.str();
 }
 
-std::string TextTable::to_markdown() const {
-  const auto widths = column_widths();
-  std::ostringstream os;
-  const auto emit_row = [&](const std::vector<std::string>& row) {
-    os << '|';
-    for (std::size_t c = 0; c < widths.size(); ++c) {
-      os << ' ';
-      append_padded(os, c < row.size() ? row[c] : std::string{}, widths[c]);
-      os << " |";
-    }
-    os << '\n';
-  };
-  emit_row(header_);
-  os << '|';
-  for (const auto w : widths) {
-    for (std::size_t i = 0; i < w + 2; ++i) os << '-';
-    os << '|';
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    if (!row.empty()) emit_row(row);
-  }
-  return os.str();
-}
-
 }  // namespace prcost

@@ -1,4 +1,4 @@
-// ASCII / markdown table rendering used by the bench harness to print the
+// ASCII table rendering used by the bench harness to print the
 // paper's tables (Tables II, IV, V, VI, VII, VIII).
 #pragma once
 
@@ -23,9 +23,6 @@ class TextTable {
 
   /// Render with box-drawing ASCII (for terminal bench output).
   std::string to_ascii() const;
-
-  /// Render as GitHub-flavored markdown (for EXPERIMENTS.md snippets).
-  std::string to_markdown() const;
 
  private:
   std::vector<std::string> header_;

@@ -4,7 +4,7 @@
 // overflow, or allocate absurdly on corrupted input - every outcome is
 // either a successfully parsed layout (corruption survived the grammar,
 // e.g. a payload bit flip that only breaks the CRC) or a clean ParseError.
-// The property loop below pushes >= 10k FaultInjector-mutated bitstreams
+// The property loop below pushes >= 10k WordMutator-mutated bitstreams
 // through the parser; the crafted cases pin the specific FDRI type-2
 // guards (zero count, count past end-of-stream, unaligned count).
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "bitstream/parser.hpp"
 #include "bitstream/words.hpp"
 #include "cost/prr_search.hpp"
-#include "reconfig/faults.hpp"
+#include "tests/support/mutator.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -50,10 +50,7 @@ TEST(ParserCorruption, SurvivesTenThousandMutatedBitstreams) {
   ASSERT_GT(clean.size(), 0u);
   ASSERT_EQ(parse_outcome(clean, Family::kVirtex5), 0);
 
-  FaultProfile profile;
-  profile.fault_rate = 1.0;
-  profile.seed = 0xC0FFEE;
-  FaultInjector injector{profile};
+  WordMutator mutator{0xC0FFEE};
 
   u64 parse_errors = 0;
   u64 clean_parses = 0;
@@ -62,7 +59,7 @@ TEST(ParserCorruption, SurvivesTenThousandMutatedBitstreams) {
     std::vector<u32> mutated = clean;
     // 1-3 stacked corruptions: single faults plus compound damage.
     const int hits = 1 + i % 3;
-    for (int c = 0; c < hits; ++c) injector.corrupt(mutated);
+    for (int c = 0; c < hits; ++c) mutator.corrupt(mutated);
     switch (parse_outcome(mutated, Family::kVirtex5)) {
       case 0: ++clean_parses; break;
       case 1: ++parse_errors; break;
@@ -132,16 +129,13 @@ TEST(ParserCorruption, UnalignedType2CountIsParseError) {
 }
 
 TEST(ParserCorruption, WorksAcrossFamilies) {
-  FaultProfile profile;
-  profile.fault_rate = 1.0;
-  profile.seed = 0xBEEF;
   for (const Family family : kAllFamilies) {
     const std::vector<u32> clean = small_bitstream(family);
     ASSERT_EQ(parse_outcome(clean, family), 0) << family_name(family);
-    FaultInjector injector{profile};
+    WordMutator mutator{0xBEEF};
     for (int i = 0; i < 500; ++i) {
       std::vector<u32> mutated = clean;
-      injector.corrupt(mutated);
+      mutator.corrupt(mutated);
       (void)parse_outcome(mutated, family);
     }
   }

@@ -22,6 +22,7 @@
 #include "bitstream/parser.hpp"
 #include "cost/shaped_prr.hpp"
 #include "device/device_db.hpp"
+#include "tests/support/bitstreams.hpp"
 
 namespace prcost {
 namespace {

@@ -14,6 +14,7 @@
 #include "device/device_db.hpp"
 #include "obs/obs.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/bitstreams.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -34,11 +35,6 @@ TEST(Packets, Type2CarriesBigCounts) {
   const u32 word = type2(PacketOp::kWrite, 20730);
   EXPECT_EQ(packet_type(word), 2u);
   EXPECT_EQ(type2_count(word), 20730u);
-}
-
-TEST(Packets, Names) {
-  EXPECT_EQ(config_reg_name(ConfigReg::kFdri), "FDRI");
-  EXPECT_EQ(config_cmd_name(ConfigCmd::kDesync), "DESYNC");
 }
 
 // ------------------------------------------------------------------- far ---
@@ -273,18 +269,21 @@ TEST(Generator, TrailerLengthEqualsFwForAllFamilies) {
   }
 }
 
-TEST(Generator, FullBitstreamTracesAsBitstreamGenFull) {
+TEST(Generator, BitstreamTracesAsBitstreamGen) {
   // perfbench attributes every "bitstream_gen*" span to its bitstream
-  // layer; the full-device generator must keep reporting under that name.
-  const Fabric& fabric = DeviceDb::instance().get("xc5vlx110t").fabric;
+  // layer; the generator must keep reporting under that name.
+  const auto& rec = paperdata::table5_record("FIR", "xc5vlx110t");
+  const auto plan =
+      find_prr(rec.req, DeviceDb::instance().get(rec.device).fabric);
+  ASSERT_TRUE(plan.has_value());
   obs::clear_trace();
   obs::set_tracing(true);
-  const auto words = generate_full_bitstream(fabric);
+  const auto words = generate_bitstream(*plan, rec.family);
   obs::set_tracing(false);
   EXPECT_FALSE(words.empty());
   std::size_t spans = 0;
   for (const auto& span : obs::trace_spans()) {
-    if (std::string_view{span.name} == "bitstream_gen_full") ++spans;
+    if (std::string_view{span.name} == "bitstream_gen") ++spans;
   }
   EXPECT_EQ(spans, 1u);
   obs::clear_trace();

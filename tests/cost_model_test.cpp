@@ -3,6 +3,7 @@
 
 #include "cost/bitstream_model.hpp"
 #include "cost/prr_model.hpp"
+#include "tests/support/satisfies.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
@@ -182,11 +183,11 @@ TEST(BitstreamModel, ScalesLinearlyWithHeight) {
   PrrOrganization org;
   org.columns = ColumnDemand{3, 0, 0};
   org.h = 1;
-  const u64 bytes1 = bitstream_bytes(org, v5());
+  const u64 bytes1 = estimate_bitstream(org, v5()).total_bytes;
   org.h = 2;
-  const u64 bytes2 = bitstream_bytes(org, v5());
+  const u64 bytes2 = estimate_bitstream(org, v5()).total_bytes;
   org.h = 4;
-  const u64 bytes4 = bitstream_bytes(org, v5());
+  const u64 bytes4 = estimate_bitstream(org, v5()).total_bytes;
   const FamilyTraits& t = v5();
   const u64 fixed = u64{t.iw + t.fw} * t.bytes_word;
   EXPECT_EQ(bytes2 - fixed, 2 * (bytes1 - fixed));
@@ -205,7 +206,8 @@ TEST(BitstreamModel, WiderFramesOnVirtex6) {
   PrrOrganization org;
   org.h = 1;
   org.columns = ColumnDemand{2, 0, 0};
-  EXPECT_GT(bitstream_bytes(org, v6()), bitstream_bytes(org, v5()));
+  EXPECT_GT(estimate_bitstream(org, v6()).total_bytes,
+            estimate_bitstream(org, v5()).total_bytes);
 }
 
 TEST(Satisfies, ChecksEveryResource) {

@@ -149,30 +149,5 @@ TEST(CrcDispatch, SetCrcImplRejectsUnavailable) {
   }
 }
 
-TEST(Crc32cBytes, MatchesKnownVectors) {
-  // RFC 3720 iSCSI test vectors for CRC-32C.
-  const unsigned char zeros[32] = {};
-  EXPECT_EQ(crc32c_bytes(zeros, sizeof zeros), 0x8A9136AAu);
-  unsigned char ones[32];
-  for (auto& b : ones) b = 0xFF;
-  EXPECT_EQ(crc32c_bytes(ones, sizeof ones), 0x62A8AB43u);
-  unsigned char ascending[32];
-  for (u32 i = 0; i < 32; ++i) ascending[i] = static_cast<unsigned char>(i);
-  EXPECT_EQ(crc32c_bytes(ascending, sizeof ascending), 0x46DD794Eu);
-  EXPECT_EQ(crc32c_bytes("123456789", 9), 0xE3069283u);
-}
-
-TEST(Crc32cBytes, SensitiveToEveryByte) {
-  Rng rng{0xC0FFEE06};
-  std::vector<unsigned char> data(100);
-  for (auto& b : data) b = static_cast<unsigned char>(rng.below(256));
-  const u32 clean = crc32c_bytes(data.data(), data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] ^= 0x40;
-    EXPECT_NE(crc32c_bytes(data.data(), data.size()), clean) << i;
-    data[i] ^= 0x40;
-  }
-}
-
 }  // namespace
 }  // namespace prcost

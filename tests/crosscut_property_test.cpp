@@ -14,6 +14,7 @@
 #include "multitask/simulator.hpp"
 #include "reconfig/controllers.hpp"
 #include "tests/support/lint.hpp"
+#include "tests/support/satisfies.hpp"
 #include "util/rng.hpp"
 
 namespace prcost {
@@ -129,17 +130,17 @@ TEST(MonotoneProperty, BitstreamGrowsWithEveryColumnKind) {
   PrrOrganization base;
   base.h = 2;
   base.columns = ColumnDemand{3, 1, 1};
-  const u64 base_bytes = bitstream_bytes(base, t);
+  const u64 base_bytes = estimate_bitstream(base, t).total_bytes;
   for (int kind = 0; kind < 3; ++kind) {
     PrrOrganization bigger = base;
     if (kind == 0) ++bigger.columns.clb_cols;
     if (kind == 1) ++bigger.columns.dsp_cols;
     if (kind == 2) ++bigger.columns.bram_cols;
-    EXPECT_GT(bitstream_bytes(bigger, t), base_bytes) << kind;
+    EXPECT_GT(estimate_bitstream(bigger, t).total_bytes, base_bytes) << kind;
   }
   PrrOrganization taller = base;
   ++taller.h;
-  EXPECT_GT(bitstream_bytes(taller, t), base_bytes);
+  EXPECT_GT(estimate_bitstream(taller, t).total_bytes, base_bytes);
 }
 
 // ------------------------------------------------- simulator invariants ---

@@ -13,6 +13,7 @@
 #include "reconfig/controllers.hpp"
 #include "reconfig/faults.hpp"
 #include "reconfig/icap.hpp"
+#include "tests/support/mutator.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
@@ -92,27 +93,27 @@ TEST(FaultInjector, RejectsBadProfile) {
   EXPECT_THROW(FaultInjector{negative}, ContractError);
 }
 
-TEST(FaultInjector, CorruptMutatesNonEmptyBuffers) {
-  FaultInjector injector{rate(1.0, 7)};
+TEST(WordMutator, CorruptMutatesNonEmptyBuffers) {
+  WordMutator mutator{7};
   for (int i = 0; i < 50; ++i) {
     std::vector<u32> words(64, 0xA5A5A5A5u);
     const std::vector<u32> original = words;
-    const FaultKind kind = injector.corrupt(words);
+    const FaultKind kind = mutator.corrupt(words);
     EXPECT_NE(kind, FaultKind::kNone);
     EXPECT_NE(words, original) << fault_kind_name(kind);
   }
   std::vector<u32> empty;
-  EXPECT_EQ(injector.corrupt(empty), FaultKind::kNone);
+  EXPECT_EQ(mutator.corrupt(empty), FaultKind::kNone);
 }
 
-TEST(FaultInjector, ApplyChangesSizeAsDocumented) {
+TEST(WordMutator, ApplyChangesSizeAsDocumented) {
   Rng rng{99};
   std::vector<u32> words(32, 1u);
-  FaultInjector::apply(words, FaultKind::kWordDrop, rng);
+  WordMutator::apply(words, FaultKind::kWordDrop, rng);
   EXPECT_EQ(words.size(), 31u);
-  FaultInjector::apply(words, FaultKind::kWordDup, rng);
+  WordMutator::apply(words, FaultKind::kWordDup, rng);
   EXPECT_EQ(words.size(), 32u);
-  FaultInjector::apply(words, FaultKind::kTruncate, rng);
+  WordMutator::apply(words, FaultKind::kTruncate, rng);
   EXPECT_LT(words.size(), 32u);
 }
 

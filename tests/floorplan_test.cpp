@@ -3,6 +3,7 @@
 #include "cost/floorplan.hpp"
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/satisfies.hpp"
 #include "util/error.hpp"
 
 namespace prcost {
@@ -122,8 +123,9 @@ TEST(Floorplanner, SupersetFallbackPlacesWideDemands) {
   EXPECT_EQ(comp.clb_cols, placed->plan.organization.columns.clb_cols);
   EXPECT_EQ(comp.dsp_cols, placed->plan.organization.columns.dsp_cols);
   EXPECT_EQ(comp.bram_cols, placed->plan.organization.columns.bram_cols);
-  EXPECT_EQ(placed->plan.bitstream.total_bytes,
-            bitstream_bytes(placed->plan.organization, fabric.traits()));
+  EXPECT_EQ(
+      placed->plan.bitstream.total_bytes,
+      estimate_bitstream(placed->plan.organization, fabric.traits()).total_bytes);
 }
 
 TEST(Floorplanner, RespectsReservedStaticRegion) {

@@ -5,6 +5,7 @@
 #include "cost/shaped_prr.hpp"
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/bitstreams.hpp"
 #include "tests/support/lint.hpp"
 
 namespace prcost {

@@ -133,8 +133,8 @@ TEST(Evaluate, RejectionsDominateCost) {
   const opt::PlanState state = opt::greedy_plan(instance, options);
   const opt::CostBreakdown cost = opt::evaluate(instance, state, options);
   EXPECT_EQ(cost.placed_groups + 0u, state.fp.placements().size());
-  EXPECT_GE(cost.cost, options.reject_weight *
-                           static_cast<double>(cost.rejected_prms));
+  // Each rejected PRM costs 1000, more than any makespan here.
+  EXPECT_GE(cost.cost, 1000.0 * static_cast<double>(cost.rejected_prms));
   EXPECT_GE(cost.makespan_s, cost.busy_max_s);
   EXPECT_GE(cost.makespan_s, cost.icap_s);
 }

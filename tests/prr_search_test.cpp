@@ -7,6 +7,7 @@
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "tests/support/satisfies.hpp"
 
 namespace prcost {
 namespace {
@@ -145,8 +146,9 @@ TEST(Search, PlansCarryConsistentBitstreamEstimate) {
   const auto& rec = paperdata::table5_record("MIPS", "xc6vlx75t");
   const auto plan = find_prr(rec.req, lx75t());
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->bitstream.total_bytes,
-            bitstream_bytes(plan->organization, lx75t().traits()));
+  EXPECT_EQ(
+      plan->bitstream.total_bytes,
+      estimate_bitstream(plan->organization, lx75t().traits()).total_bytes);
 }
 
 // ---------------------------------------------------------- shared PRR ---
@@ -156,8 +158,9 @@ TEST(SharedPrr, TakesElementwiseMaximum) {
   // FIR's DSP demand and the max CLB demand.
   const auto& fir = paperdata::table5_record("FIR", "xc5vlx110t");
   const auto& sdram = paperdata::table5_record("SDRAM", "xc5vlx110t");
-  const PrmRequirements reqs[] = {fir.req, sdram.req};
-  const auto shared = find_shared_prr(reqs, lx110t());
+  PrmRequirements merged = fir.req;
+  merged.merge(sdram.req);
+  const auto shared = find_prr(merged, lx110t());
   ASSERT_TRUE(shared.has_value());
   const auto fir_alone = find_prr(fir.req, lx110t());
   EXPECT_GE(shared->available.dsps, fir.req.dsps);
@@ -169,16 +172,13 @@ TEST(SharedPrr, TakesElementwiseMaximum) {
 
 TEST(SharedPrr, SinglePrmEqualsFindPrr) {
   const auto& rec = paperdata::table5_record("SDRAM", "xc6vlx75t");
-  const PrmRequirements reqs[] = {rec.req};
-  const auto shared = find_shared_prr(reqs, lx75t());
+  PrmRequirements merged;  // the merge identity
+  merged.merge(rec.req);
+  const auto shared = find_prr(merged, lx75t());
   const auto single = find_prr(rec.req, lx75t());
   ASSERT_TRUE(shared.has_value());
   ASSERT_TRUE(single.has_value());
   EXPECT_EQ(shared->organization.size(), single->organization.size());
-}
-
-TEST(SharedPrr, EmptyListGivesNothing) {
-  EXPECT_FALSE(find_shared_prr({}, lx110t()).has_value());
 }
 
 // Property sweep: for every catalog device, min-area plans never lose to

@@ -8,6 +8,7 @@
 #include "reconfig/full_bitstream.hpp"
 #include "reconfig/icap.hpp"
 #include "reconfig/media.hpp"
+#include "tests/support/bitstreams.hpp"
 #include "util/error.hpp"
 
 namespace prcost {

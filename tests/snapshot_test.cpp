@@ -16,7 +16,6 @@
 
 #include "api/engine.hpp"
 #include "bitstream/bitstream_cache.hpp"
-#include "bitstream/crc.hpp"
 #include "cost/plan_cache.hpp"
 #include "device/device_db.hpp"
 #include "util/error.hpp"
@@ -90,17 +89,49 @@ TEST_F(SnapshotTest, RoundTripsEveryPrimitive) {
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
-TEST_F(SnapshotTest, ChecksumMatchesDispatchedCrc32c) {
-  // The container's local CRC-32C must stay bit-identical to the
-  // hardware-dispatched crc32c_bytes in bitstream/crc.
-  const char* vector = "123456789";
-  EXPECT_EQ(snapshot_checksum(vector, 9), 0xE3069283u);
-  EXPECT_EQ(snapshot_checksum(vector, 9), crc32c_bytes(vector, 9));
+/// Bit-at-a-time CRC-32C, the reference the table-driven checksum is held to.
+u32 bitwise_crc32c(const unsigned char* data, std::size_t size) {
+  u32 crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST_F(SnapshotTest, ChecksumMatchesBitwiseCrc32c) {
+  EXPECT_EQ(snapshot_checksum("123456789", 9), 0xE3069283u);  // check value
   Rng rng{0xC5C5u};
   std::vector<unsigned char> bytes(4093);
   for (auto& b : bytes) b = static_cast<unsigned char>(rng());
   EXPECT_EQ(snapshot_checksum(bytes.data(), bytes.size()),
-            crc32c_bytes(bytes.data(), bytes.size()));
+            bitwise_crc32c(bytes.data(), bytes.size()));
+}
+
+TEST_F(SnapshotTest, ChecksumMatchesKnownVectors) {
+  // RFC 3720 iSCSI test vectors for CRC-32C.
+  const unsigned char zeros[32] = {};
+  EXPECT_EQ(snapshot_checksum(zeros, sizeof zeros), 0x8A9136AAu);
+  unsigned char ones[32];
+  for (auto& b : ones) b = 0xFF;
+  EXPECT_EQ(snapshot_checksum(ones, sizeof ones), 0x62A8AB43u);
+  unsigned char ascending[32];
+  for (u32 i = 0; i < 32; ++i) ascending[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(snapshot_checksum(ascending, sizeof ascending), 0x46DD794Eu);
+}
+
+TEST_F(SnapshotTest, ChecksumSensitiveToEveryByte) {
+  Rng rng{0xC0FFEE06};
+  std::vector<unsigned char> data(100);
+  for (auto& b : data) b = static_cast<unsigned char>(rng.below(256));
+  const u32 clean = snapshot_checksum(data.data(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] ^= 0x40;
+    EXPECT_NE(snapshot_checksum(data.data(), data.size()), clean) << i;
+    data[i] ^= 0x40;
+  }
 }
 
 TEST_F(SnapshotTest, ReadingPastThePayloadThrows) {

@@ -329,7 +329,7 @@ TEST(Mapper, CeilingCountsEveryMacroInTheNetlist) {
 
 TEST(Synthesize, FirVirtex5Profile) {
   const SynthesisResult result =
-      synthesize(make_fir(), SynthOptions{Family::kVirtex5, false});
+      synthesize(make_fir(), SynthOptions{Family::kVirtex5});
   EXPECT_EQ(result.report.dsps, 32u);
   EXPECT_EQ(result.report.brams, 0u);
   EXPECT_TRUE(result.report.consistent());
@@ -340,7 +340,7 @@ TEST(Synthesize, FirVirtex5Profile) {
 
 TEST(Synthesize, FirVirtex6UsesPreadder) {
   const SynthesisResult result =
-      synthesize(make_fir(), SynthOptions{Family::kVirtex6, false});
+      synthesize(make_fir(), SynthOptions{Family::kVirtex6});
   // 32 taps with 5 symmetric pairs fused: 27 DSPs, the paper's Table V
   // value for FIR on the LX75T.
   EXPECT_EQ(result.report.dsps, 27u);
@@ -348,7 +348,7 @@ TEST(Synthesize, FirVirtex6UsesPreadder) {
 
 TEST(Synthesize, MipsProfile) {
   const SynthesisResult result =
-      synthesize(make_mips5(), SynthOptions{Family::kVirtex5, false});
+      synthesize(make_mips5(), SynthOptions{Family::kVirtex5});
   EXPECT_EQ(result.report.dsps, 4u);   // 32x32 multiply tiles to 4 DSP48s
   EXPECT_EQ(result.report.brams, 6u);  // 2 + 4 BRAM36 memories
   EXPECT_GT(result.report.slice_ffs, 1000u);
@@ -356,37 +356,42 @@ TEST(Synthesize, MipsProfile) {
 
 TEST(Synthesize, SdramProfile) {
   const SynthesisResult result =
-      synthesize(make_sdram_ctrl(), SynthOptions{Family::kVirtex5, false});
+      synthesize(make_sdram_ctrl(), SynthOptions{Family::kVirtex5});
   EXPECT_EQ(result.report.dsps, 0u);
   EXPECT_EQ(result.report.brams, 0u);
   EXPECT_TRUE(result.report.consistent());
 }
 
 TEST(Synthesize, Deterministic) {
-  const auto a = synthesize(make_fir(), SynthOptions{Family::kVirtex5, false});
-  const auto b = synthesize(make_fir(), SynthOptions{Family::kVirtex5, false});
+  const auto a = synthesize(make_fir(), SynthOptions{Family::kVirtex5});
+  const auto b = synthesize(make_fir(), SynthOptions{Family::kVirtex5});
   EXPECT_EQ(a.report.lut_ff_pairs, b.report.lut_ff_pairs);
   EXPECT_EQ(a.report.slice_luts, b.report.slice_luts);
 }
 
-TEST(Synthesize, ImplementationLevelNeverIncreasesLuts) {
+TEST(Synthesize, ImplementationPassesNeverIncreaseLuts) {
   for (int which = 0; which < 3; ++which) {
     const auto make = [&] {
       return which == 0 ? make_fir() : which == 1 ? make_mips5()
                                                   : make_sdram_ctrl();
     };
-    const auto synth = synthesize(make(), SynthOptions{Family::kVirtex5, false});
-    const auto impl = synthesize(make(), SynthOptions{Family::kVirtex5, true});
-    EXPECT_LE(impl.report.slice_luts, synth.report.slice_luts) << which;
+    // PAR runs the implementation passes on the synthesized netlist.
+    const auto synth = synthesize(make(), SynthOptions{Family::kVirtex5});
+    Netlist impl = synth.netlist;
+    run_implementation_passes(impl);
+    const NetlistStats before = synth.netlist.stats();
+    const NetlistStats after = impl.stats();
+    EXPECT_LE(after.luts, before.luts) << which;
     // DSP/BRAM counts are untouched by logic optimization (Table VI).
-    EXPECT_EQ(impl.report.dsps, synth.report.dsps) << which;
-    EXPECT_EQ(impl.report.brams, synth.report.brams) << which;
+    EXPECT_EQ(after.dsp48s, before.dsp48s) << which;
+    EXPECT_EQ(after.bram36s, before.bram36s) << which;
+    EXPECT_EQ(after.bram18s, before.bram18s) << which;
   }
 }
 
 TEST(Synthesize, AesUsesBramPairs) {
   const SynthesisResult result =
-      synthesize(make_aes_round(), SynthOptions{Family::kVirtex5, false});
+      synthesize(make_aes_round(), SynthOptions{Family::kVirtex5});
   // 16 S-boxes as 18Kb halves -> 8 BRAM36 equivalents.
   EXPECT_EQ(result.report.brams, 8u);
 }

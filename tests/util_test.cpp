@@ -85,11 +85,6 @@ TEST(Trim, StripsBothEnds) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(StartsWith, Matches) {
-  EXPECT_TRUE(starts_with("Number of Slice LUTs", "Number"));
-  EXPECT_FALSE(starts_with("abc", "abcd"));
-}
-
 TEST(ToLower, Converts) { EXPECT_EQ(to_lower("Virtex-5"), "virtex-5"); }
 
 TEST(FormatFixed, Digits) {
@@ -200,13 +195,6 @@ TEST(TextTable, AsciiContainsCells) {
   EXPECT_NE(ascii.find("LUT_FF_req"), std::string::npos);
   EXPECT_NE(ascii.find("1300"), std::string::npos);
   EXPECT_NE(ascii.find("+"), std::string::npos);
-}
-
-TEST(TextTable, MarkdownHasHeaderRule) {
-  TextTable table{{"a", "b"}};
-  table.add_row({"1", "2"});
-  const std::string md = table.to_markdown();
-  EXPECT_NE(md.find("|---"), std::string::npos);
 }
 
 TEST(TextTable, RaggedRowsTolerated) {
