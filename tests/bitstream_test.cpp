@@ -37,6 +37,25 @@ TEST(Packets, Type2CarriesBigCounts) {
   EXPECT_EQ(type2_count(word), 20730u);
 }
 
+TEST(Packets, EveryRegisterRoundTripsAtFullCount) {
+  // No header field bleeds into its neighbours, even at the largest
+  // type-1 count (11 bits) and on the highest register address.
+  for (u32 r = 0; r <= static_cast<u32>(ConfigReg::kAxss); ++r) {
+    const auto reg = static_cast<ConfigReg>(r);
+    for (const PacketOp op : {PacketOp::kRead, PacketOp::kWrite}) {
+      const u32 word = type1(op, reg, 0x7FF);
+      EXPECT_EQ(packet_type(word), 1u) << r;
+      EXPECT_EQ(packet_op(word), op) << r;
+      EXPECT_EQ(packet_reg(word), reg) << r;
+      EXPECT_EQ(type1_count(word), 0x7FFu) << r;
+    }
+  }
+  const u32 big = type2(PacketOp::kWrite, 0x7FFFFFF);
+  EXPECT_EQ(packet_type(big), 2u);
+  EXPECT_EQ(packet_op(big), PacketOp::kWrite);
+  EXPECT_EQ(type2_count(big), 0x7FFFFFFu);
+}
+
 // ------------------------------------------------------------------- far ---
 
 TEST(FrameAddress, RoundTrips) {

@@ -2,9 +2,11 @@
 
 #include "bitstream/compress.hpp"
 #include "bitstream/generator.hpp"
+#include "bitstream/parser.hpp"
 #include "cost/prr_search.hpp"
 #include "device/device_db.hpp"
 #include "paperdata/paper_dataset.hpp"
+#include "util/error.hpp"
 
 namespace prcost {
 namespace {
@@ -36,6 +38,56 @@ TEST(Rle, ExpandsIncompressibleData) {
   std::vector<u32> distinct(100);
   for (u32 i = 0; i < 100; ++i) distinct[i] = i;
   EXPECT_GT(measure_rle(distinct).ratio(), 1.0);
+}
+
+TEST(Frames, AnalyzeCountsDuplicatesAndZeros) {
+  // An all-zero FIR bitstream with its first burst's frames rewritten to
+  // A A 0 B 0 ...: three distinct frames (A, 0, B), all but A A B zero.
+  const auto& rec = paperdata::table5_record("FIR", "xc5vlx110t");
+  const Fabric& fabric = DeviceDb::instance().get(rec.device).fabric;
+  const auto plan = find_prr(rec.req, fabric);
+  ASSERT_TRUE(plan.has_value());
+  GeneratorOptions options;
+  options.payload = PayloadKind::kZeros;
+  std::vector<u32> words = generate_bitstream(*plan, rec.family, options);
+  const BitstreamLayout layout = parse_bitstream(words, rec.family);
+  ASSERT_FALSE(layout.bursts.empty());
+  const FdriBurst& burst = layout.bursts.front();
+  ASSERT_GE(burst.frames, 5u);
+  const u32 frame_size = traits(rec.family).frame_size;
+  const auto fill = [&](u64 frame, u32 value) {
+    const u64 first = burst.offset_words + frame * frame_size;
+    for (u64 w = 0; w < frame_size; ++w) {
+      words[first + w] = value + static_cast<u32>(w);
+    }
+  };
+  fill(0, 0x100);
+  fill(1, 0x100);
+  fill(3, 0x900);
+
+  const FrameRedundancy r = analyze_bitstream_frames(words, rec.family);
+  const FrameRedundancy zeros =
+      analyze_bitstream_frames(generate_bitstream(*plan, rec.family, options),
+                               rec.family);
+  EXPECT_EQ(r.total_frames, zeros.total_frames);
+  EXPECT_EQ(r.unique_frames, 3u);
+  EXPECT_EQ(r.zero_frames, r.total_frames - 3);
+  EXPECT_LT(r.mfwr_ratio(frame_size), 1.0);
+}
+
+TEST(Frames, BitstreamAnalysisRejectsMalformedStreams) {
+  const auto& rec = paperdata::table5_record("SDRAM", "xc5vlx110t");
+  const Fabric& fabric = DeviceDb::instance().get(rec.device).fabric;
+  const auto plan = find_prr(rec.req, fabric);
+  ASSERT_TRUE(plan.has_value());
+  const auto words = generate_bitstream(*plan, rec.family);
+  // Cut inside the first FDRI burst: the type-2 count runs past the end.
+  const BitstreamLayout layout = parse_bitstream(words, rec.family);
+  ASSERT_FALSE(layout.bursts.empty());
+  const std::span<const u32> truncated{
+      words.data(), layout.bursts.front().offset_words + 1};
+  EXPECT_THROW(analyze_bitstream_frames(truncated, rec.family), ParseError);
+  EXPECT_THROW(analyze_bitstream_frames({}, rec.family), ParseError);
 }
 
 TEST(Frames, MfwrRatioBounds) {

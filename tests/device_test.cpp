@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "device/column.hpp"
 #include "device/device_db.hpp"
@@ -87,6 +90,25 @@ TEST(FamilyName, RoundTripsThroughParse) {
 }
 
 // --------------------------------------------------------------- columns ---
+
+TEST(Column, CodesRoundTrip) {
+  // The one-letter fabric pattern codes of the device catalog.
+  constexpr std::pair<char, ColumnType> kCodes[] = {
+      {'C', ColumnType::kClb}, {'D', ColumnType::kDsp},
+      {'B', ColumnType::kBram}, {'I', ColumnType::kIob},
+      {'K', ColumnType::kClk}};
+  std::string pattern;
+  for (const auto& [code, type] : kCodes) {
+    EXPECT_EQ(parse_column_code(code), type) << code;
+    pattern += code;
+  }
+  const Fabric fabric{Family::kVirtex5, pattern, 1};
+  ASSERT_EQ(fabric.num_columns(), std::size(kCodes));
+  for (u32 c = 0; c < fabric.num_columns(); ++c) {
+    EXPECT_EQ(fabric.column(c), kCodes[c].second) << c;
+  }
+  EXPECT_THROW(parse_column_code('c'), ContractError);  // case-sensitive
+}
 
 TEST(Column, PrrCapability) {
   EXPECT_TRUE(prr_capable(ColumnType::kClb));

@@ -21,6 +21,13 @@ TEST(Partitions, EnumerationCountMatchesBell) {
   }
 }
 
+TEST(Partitions, BellNumbers) {
+  // B(7)..B(9), past the small cases above.
+  EXPECT_EQ(enumerate_partitions(7).size(), 877u);
+  EXPECT_EQ(enumerate_partitions(8).size(), 4140u);
+  EXPECT_EQ(enumerate_partitions(9).size(), 21147u);
+}
+
 TEST(Partitions, EveryItemExactlyOnce) {
   for (const Partition& partition : enumerate_partitions(4)) {
     std::set<u32> seen;

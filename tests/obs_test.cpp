@@ -4,6 +4,7 @@
 // disabled no-op paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <sstream>
@@ -15,6 +16,7 @@
 
 #include "obs/obs.hpp"
 #include "sched/scheduler.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace prcost {
@@ -260,6 +262,64 @@ TEST(ObsMetrics, JsonExportParses) {
   EXPECT_TRUE(parser.parse());
 }
 
+TEST(ObsMetrics, JsonExportCarriesHistogramBuckets) {
+  obs::set_metrics_enabled(true);
+  obs::registry().histogram("test.json_buckets", {10.0, 100.0}).reset();
+  PRCOST_HIST("test.json_buckets", 50, 10.0, 100.0);
+  PRCOST_HIST("test.json_buckets", 500, 10.0, 100.0);
+  obs::set_metrics_enabled(false);
+  const std::string json = obs::registry().to_json();
+  EXPECT_NE(json.find("\"test.json_buckets\":{\"count\":2,\"sum\":550,"
+                      "\"bounds\":[10,100],\"buckets\":[0,1,1]}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(ObsMetrics, TextExportExpandsHistogramBuckets) {
+  obs::set_metrics_enabled(true);
+  obs::registry().histogram("test.text_hist", {10.0, 100.0}).reset();
+  PRCOST_HIST("test.text_hist", 50, 10.0, 100.0);
+  PRCOST_HIST("test.text_hist", 500, 10.0, 100.0);
+  PRCOST_GAUGE_SET("test.text_gauge", 7.5);
+  obs::set_metrics_enabled(false);
+  const std::string text = obs::registry().to_text();
+  EXPECT_NE(text.find("count=2 sum=550 buckets=[le10:0 le100:1 inf:1]\n"),
+            std::string::npos)
+      << text;
+  const std::size_t gauge = text.find("test.text_gauge ");
+  ASSERT_NE(gauge, std::string::npos) << text;
+  const std::string line = text.substr(gauge, text.find('\n', gauge) - gauge);
+  EXPECT_TRUE(line.ends_with(" 7.5")) << line;
+}
+
+TEST(ObsMetrics, HistogramRejectsUnsortedBounds) {
+  EXPECT_THROW(obs::Histogram({100.0, 10.0}), ContractError);
+  EXPECT_THROW(obs::Histogram({10.0, 10.0}), ContractError);
+  const obs::Histogram overflow_only{{}};
+  EXPECT_EQ(overflow_only.bucket_counts().size(), 1u);
+}
+
+TEST(ObsMetrics, FirstRegistrationFixesHistogramBounds) {
+  obs::Histogram& first =
+      obs::registry().histogram("test.fixed_bounds", {1.0, 2.0});
+  obs::Histogram& again = obs::registry().histogram("test.fixed_bounds", {5.0});
+  EXPECT_EQ(&first, &again);
+  EXPECT_EQ(again.bounds(), (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(ObsMetrics, SnapshotIsSortedByNameAcrossKinds) {
+  (void)obs::registry().gauge("test.aa_sorted_gauge");
+  (void)obs::registry().counter("test.zz_sorted_counter");
+  (void)obs::registry().histogram("test.mm_sorted_hist", {1.0});
+  const auto snaps = obs::registry().snapshot();
+  ASSERT_GE(snaps.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(
+      snaps.begin(), snaps.end(),
+      [](const obs::MetricSnapshot& a, const obs::MetricSnapshot& b) {
+        return a.name < b.name;
+      }));
+}
+
 TEST(ObsMetrics, IcapWritesCountBookedSwitchesNotPricings) {
   // Three PRMs take turns on one slot, so each of the 30 tasks books a
   // switch while each PRM is priced only once per media: the ICAP
@@ -316,6 +376,34 @@ TEST(ObsOpenMetrics, ExpositionHasFamiliesSamplesAndEof) {
             std::string::npos);
   EXPECT_NE(text.find("prcost_test_om_hist_count"), std::string::npos);
   EXPECT_TRUE(text.ends_with("# EOF\n")) << text;
+}
+
+TEST(ObsOpenMetrics, HistogramBucketsAreCumulative) {
+  obs::set_metrics_enabled(true);
+  obs::registry().histogram("test.om_cumulative", {10.0, 100.0}).reset();
+  for (const int v : {5, 50, 500, 7}) {
+    PRCOST_HIST("test.om_cumulative", v, 10.0, 100.0);
+  }
+  obs::set_metrics_enabled(false);
+  const std::string text = obs::registry().to_openmetrics();
+  EXPECT_NE(text.find("prcost_test_om_cumulative_bucket{le=\"10\"} 2\n"
+                      "prcost_test_om_cumulative_bucket{le=\"100\"} 3\n"
+                      "prcost_test_om_cumulative_bucket{le=\"+Inf\"} 4\n"
+                      "prcost_test_om_cumulative_sum 562\n"
+                      "prcost_test_om_cumulative_count 4\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ObsOpenMetrics, GaugeSampleHasNoSuffix) {
+  obs::set_metrics_enabled(true);
+  PRCOST_GAUGE_SET("test.om_gauge", 7.5);
+  obs::set_metrics_enabled(false);
+  const std::string text = obs::registry().to_openmetrics();
+  EXPECT_NE(text.find("# TYPE prcost_test_om_gauge gauge\n"
+                      "prcost_test_om_gauge 7.5\n"),
+            std::string::npos)
+      << text;
 }
 
 // --- request-scoped stats --------------------------------------------------

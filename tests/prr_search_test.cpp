@@ -181,6 +181,31 @@ TEST(SharedPrr, SinglePrmEqualsFindPrr) {
   EXPECT_EQ(shared->organization.size(), single->organization.size());
 }
 
+TEST(SharedPrr, EmptyListGivesNothing) {
+  // Merging no PRMs leaves the merge identity, which needs no PRR.
+  const PrmRequirements merged;
+  EXPECT_FALSE(find_prr(merged, lx110t()).has_value());
+  EXPECT_FALSE(find_prr(merged, lx75t()).has_value());
+}
+
+TEST(SharedPrr, MergeIsOrderIndependentAndIdempotent) {
+  const auto& fir = paperdata::table5_record("FIR", "xc5vlx110t");
+  const auto& sdram = paperdata::table5_record("SDRAM", "xc5vlx110t");
+  PrmRequirements fir_then_sdram = fir.req;
+  fir_then_sdram.merge(sdram.req);
+  PrmRequirements sdram_then_fir = sdram.req;
+  sdram_then_fir.merge(fir.req);
+  EXPECT_EQ(fir_then_sdram, sdram_then_fir);
+  PrmRequirements twice = fir_then_sdram;
+  twice.merge(sdram.req);
+  EXPECT_EQ(twice, fir_then_sdram);
+  const auto a = find_prr(fir_then_sdram, lx110t());
+  const auto b = find_prr(sdram_then_fir, lx110t());
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(a->organization.size(), b->organization.size());
+}
+
 // Property sweep: for every catalog device, min-area plans never lose to
 // any enumerated alternative, and all plans respect fabric feasibility.
 class DeviceSweep : public ::testing::TestWithParam<std::string> {};

@@ -204,6 +204,32 @@ TEST(TextTable, RaggedRowsTolerated) {
   EXPECT_EQ(table.row_count(), 1u);
 }
 
+TEST(TextTable, SeparatorDrawsRuleBetweenRows) {
+  TextTable table{{"PRM", "Bytes"}};
+  table.add_row({"FIR", "1"});
+  table.add_separator();
+  table.add_row({"MIPS", "22"});
+  EXPECT_EQ(table.to_ascii(),
+            "+------+-------+\n"
+            "| PRM  | Bytes |\n"
+            "+------+-------+\n"
+            "| FIR  | 1     |\n"
+            "+------+-------+\n"
+            "| MIPS | 22    |\n"
+            "+------+-------+\n");
+}
+
+TEST(TextTable, WidestCellSetsColumnWidth) {
+  TextTable table{{"a"}};
+  table.add_row({"longer", "extra"});  // a cell past the header widens too
+  EXPECT_EQ(table.to_ascii(),
+            "+--------+-------+\n"
+            "| a      |       |\n"
+            "+--------+-------+\n"
+            "| longer | extra |\n"
+            "+--------+-------+\n");
+}
+
 // ------------------------------------------------------------------ rng ---
 
 TEST(Rng, DeterministicForSeed) {
